@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from hogpipe.cordic import CordicConfig, polar_raw_arrays
+from hogpipe.cordic import CordicConfig, gradient_grid, polar_raw_arrays
 from hogpipe.fixq import ANG, MAG
 
 
@@ -22,9 +22,7 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = CordicConfig(iterations=args.iterations)
-    side = np.arange(-255, 256, dtype=np.int64)
-    gx = np.repeat(side, 511)
-    gy = np.tile(side, 511)
+    gx, gy = gradient_grid()
     mag_raw, ang_raw, precise = polar_raw_arrays(gx, gy, cfg)
 
     true_mag = np.hypot(gx.astype(float), gy.astype(float))

@@ -12,13 +12,12 @@ buffers exactly one row of cells plus one cell; the block at (r-1, c-1)
 is emitted the moment cell (r, c) arrives.
 
 Normalization happens in double precision on the dequantized accumulator
-values. The reduction over the 36 squares goes through one numpy sum over
-a contiguous vector in both the streaming and the batch path, which keeps
-the two element-exactly interchangeable.
+values by normalize_grid, which the streaming path calls on a 2x2 grid per
+block and the batch path on the whole frame. That one code path keeps the
+two element-exactly interchangeable.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,10 +53,19 @@ def normalize_block(
         and br.cell_col == tl.cell_col + 1
     ):
         raise ShapeMismatch("cells do not form a 2x2 neighborhood")
-    raw = np.array(tl.bins + tr.bins + bl.bins + br.bins, dtype=np.float64)
-    v = raw / MAG.scale
-    denom = float(np.sqrt(np.sum(np.square(v)) + epsilon * epsilon))
-    return BlockDescriptor(v / denom, tl.cell_row, tl.cell_col)
+    grid = np.array([[tl.bins, tr.bins], [bl.bins, br.bins]], dtype=np.int64)
+    return BlockDescriptor(
+        normalize_grid(grid, epsilon)[0, 0], tl.cell_row, tl.cell_col
+    )
+
+
+def normalize_grid(cells: np.ndarray, epsilon: float = BLOCK_EPSILON) -> np.ndarray:
+    """Every overlapping 2x2 block of a raw (rows, cols, 9) cell grid,
+    L2-normalized: a (rows - 1, cols - 1, 36) float64 array."""
+    v = cells.astype(np.float64) / MAG.scale
+    quads = np.concatenate([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]], axis=2)
+    denom = np.sqrt(np.sum(np.square(quads), axis=2) + epsilon * epsilon)
+    return quads / denom[..., None]
 
 
 class BlockAssembler:
@@ -103,17 +111,6 @@ class BlockAssembler:
         return out
 
 
-def stream_blocks(
-    cells: Iterable[CellHistogram], cells_cols: int, epsilon: float = BLOCK_EPSILON
-) -> Iterator[BlockDescriptor]:
-    """Assemble blocks from a cell stream as they become complete."""
-    asm = BlockAssembler(cells_cols, epsilon)
-    for cell in cells:
-        block = asm.add(cell)
-        if block is not None:
-            yield block
-
-
 @dataclass(frozen=True)
 class HogFrame:
     """Full-frame feature output.
@@ -125,14 +122,6 @@ class HogFrame:
 
     cells: np.ndarray  # int64, (cell_rows, cell_cols, 9) raw accumulators
     blocks: np.ndarray  # float64, (cell_rows - 1, cell_cols - 1, 36)
-
-    @property
-    def cell_rows(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def cell_cols(self) -> int:
-        return self.cells.shape[1]
 
     def cell_values(self) -> np.ndarray:
         """Cell accumulators dequantized to real magnitude units."""

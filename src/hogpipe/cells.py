@@ -11,7 +11,7 @@ Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionError, OrderError
 from .voting import BIN_COUNT, BinVote
@@ -30,12 +30,6 @@ def cells_per_frame(width: int, height: int) -> tuple[int, int]:
     return width // CELL_SIZE, height // CELL_SIZE
 
 
-@dataclass
-class PartialCellHog:
-    bins: list[int] = field(default_factory=lambda: [0] * BIN_COUNT)
-    rows_collected: int = 0
-
-
 @dataclass(frozen=True)
 class CellHistogram:
     bins: tuple[int, ...]  # 9 raw accumulator values (U16.6)
@@ -47,12 +41,10 @@ class CellAccumulator:
     """One cell-row ring of partial histograms (width/8 entries)."""
 
     def __init__(self, width: int, height: int):
-        cols, rows = cells_per_frame(width, height)
+        cols, _ = cells_per_frame(width, height)
         self.width = width
-        self.height = height
-        self.cell_cols = cols
-        self.cell_rows = rows
-        self._partials = [PartialCellHog() for _ in range(cols)]
+        # one list of partial bin sums per cell column
+        self._partials = [[0] * BIN_COUNT for _ in range(cols)]
         self._next = 0  # expected pixel sequence number
 
     @property
@@ -69,17 +61,12 @@ class CellAccumulator:
                 f"expected sequence {self._next}"
             )
         self._next += 1
-        part = self._partials[v.col // CELL_SIZE]
-        part.bins[v.lo_bin] += v.lo_weight
-        part.bins[v.hi_bin] += v.hi_weight
-        if v.col % CELL_SIZE == CELL_SIZE - 1:
-            # this vote closes an 8-pixel row segment of its cell
-            if v.row % CELL_SIZE == CELL_SIZE - 1:
-                out = CellHistogram(
-                    tuple(part.bins), v.row // CELL_SIZE, v.col // CELL_SIZE
-                )
-                part.bins = [0] * BIN_COUNT
-                part.rows_collected = 0
-                return out
-            part.rows_collected += 1
+        col = v.col // CELL_SIZE
+        bins = self._partials[col]
+        bins[v.lo_bin] += v.lo_weight
+        bins[v.hi_bin] += v.hi_weight
+        if v.col % CELL_SIZE == CELL_SIZE - 1 and v.row % CELL_SIZE == CELL_SIZE - 1:
+            # this vote closes the cell's last 8-pixel row segment
+            self._partials[col] = [0] * BIN_COUNT
+            return CellHistogram(tuple(bins), v.row // CELL_SIZE, col)
         return None

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detector
+from .blocks import BLOCK_VALUES
+from .cells import cells_per_frame
 from .errors import (
     CountMismatch,
     DimensionError,
@@ -28,7 +30,7 @@ from .errors import (
 from .golden import compare, golden_hog
 from .ingest import load_luma
 from .pipeline import PipelineConfig, run_frame_fast
-from .voting import vote_table
+from .voting import BIN_COUNT, vote_table
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -43,6 +45,7 @@ _MAGIC = b"HOGF"
 _VERSION = 1
 # magic, version, view, width_cells, height_cells, bins
 _HEADER = struct.Struct("<4sHHIII")
+_VALUE = np.dtype("<f4")
 
 
 @dataclass(frozen=True)
@@ -55,22 +58,30 @@ class FeatureFile:
 
 
 def feature_count(view: int, width_cells: int, height_cells: int) -> int:
+    """Values a view holds for a cell grid; rejects grids the view cannot fill."""
+    grid = f"{width_cells}x{height_cells}"
     if view == VIEW_CELL_RAW:
-        return width_cells * height_cells * 9
+        if width_cells < 1 or height_cells < 1:
+            raise FormatError(f"cell view needs at least one cell, got {grid}")
+        return width_cells * height_cells * BIN_COUNT
     if view == VIEW_BLOCK_NORM:
-        return (width_cells - 1) * (height_cells - 1) * 36
+        if width_cells < 2 or height_cells < 2:
+            raise FormatError(f"block view needs at least 2x2 cells, got {grid}")
+        return (width_cells - 1) * (height_cells - 1) * BLOCK_VALUES
     raise FormatError(f"unknown view {view}")
 
 
 def write_features(path, view: int, width_cells: int, height_cells: int, values) -> None:
-    payload = np.ascontiguousarray(values, dtype="<f4").ravel()
+    payload = np.ascontiguousarray(values, dtype=_VALUE).ravel()
     if payload.size != feature_count(view, width_cells, height_cells):
         raise FormatMismatch(
             f"payload has {payload.size} values, header implies "
             f"{feature_count(view, width_cells, height_cells)}"
         )
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, view, width_cells, height_cells, 9))
+        f.write(
+            _HEADER.pack(_MAGIC, _VERSION, view, width_cells, height_cells, BIN_COUNT)
+        )
         f.write(payload.tobytes())
 
 
@@ -84,14 +95,15 @@ def read_features(path) -> FeatureFile:
         raise FormatError(f"bad magic {magic!r}")
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}")
-    if bins != 9:
-        raise FormatError(f"bin count {bins} is not 9")
+    if bins != BIN_COUNT:
+        raise FormatError(f"bin count {bins} is not {BIN_COUNT}")
     count = feature_count(view, wc, hc)
-    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-    if values.size != count:
+    payload = len(blob) - _HEADER.size
+    if payload != count * _VALUE.itemsize:
         raise FormatError(
-            f"payload holds {values.size} values, header implies {count}"
+            f"payload holds {payload} bytes, header implies {count} float32 values"
         )
+    values = np.frombuffer(blob, dtype=_VALUE, offset=_HEADER.size)
     return FeatureFile(view, wc, hc, bins, values.copy())
 
 
@@ -103,7 +115,7 @@ def _print_stats(pairs) -> None:
 def cmd_extract(args) -> int:
     frame = load_luma(args.input, bayer=args.bayer)
     cfg = PipelineConfig(width=frame.width, height=frame.height)
-    wc, hc = cfg.width // 8, cfg.height // 8
+    wc, hc = cells_per_frame(cfg.width, cfg.height)
     if args.golden:
         g = golden_hog(frame.luma, cfg.epsilon)
         cells, blocks = g.cells, g.blocks
@@ -198,9 +210,7 @@ def _parser() -> argparse.ArgumentParser:
     ex.add_argument("--bayer", action="store_true")
     ex.add_argument("--output", required=True)
     ex.add_argument("--view", choices=["cell", "block"], required=True)
-    mode = ex.add_mutually_exclusive_group()
-    mode.add_argument("--fixed", action="store_true", default=True)
-    mode.add_argument("--golden", action="store_true")
+    ex.add_argument("--golden", action="store_true")
     ex.set_defaults(func=cmd_extract)
 
     cp = sub.add_parser("compare", help="fixed pipeline vs float reference")

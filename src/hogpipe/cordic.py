@@ -16,8 +16,9 @@ U10.6 interface quantization. Orientation is folded to [0, 180) degrees:
 negative angles gain 180, and 180 itself is 0.
 
 The scalar and array code paths perform identical integer operations and
-are exhaustively asserted equal; a PolarTable memoizes the full 511x511
-input grid for the per-pixel streaming model.
+are exhaustively asserted equal. A PolarTable memoizes the full 511x511
+gradient grid; the streaming model reads its polar stage from it and the
+vectorized path builds its vote table on it.
 """
 
 import math
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fixq import ANG, MAG, quantize, rne_shift
+from .fixq import ANG, CELL_ACC, MAG, quantize, rne_shift
 from .gradient import GradientPair
 
 RAW_180 = 180 * ANG.scale
@@ -37,6 +38,21 @@ _NORM_BIT = 20
 
 _BITLEN = tuple(v.bit_length() for v in range(256))
 _BITLEN_NP = np.array(_BITLEN, dtype=np.int64)
+
+# Gradient components span [-255, 255], so every reachable pair sits on a
+# GRID_SIDE x GRID_SIDE grid, flattened with gx major.
+GRID_SIDE = 511
+
+
+def grid_index(gx, gy):
+    """Flat grid index of a gradient pair; ints or integer arrays."""
+    return (gx + 255) * GRID_SIDE + (gy + 255)
+
+
+def gradient_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Every gradient pair as flat int64 (gx, gy) arrays in grid_index order."""
+    side = np.arange(-255, 256, dtype=np.int64)
+    return np.repeat(side, GRID_SIDE), np.tile(side, GRID_SIDE)
 
 
 @dataclass(frozen=True)
@@ -76,24 +92,6 @@ class PolarGradient:
     orientation: int  # ANG raw (U8.13), degrees in [0, 180)
     row: int
     col: int
-
-    @property
-    def magnitude_value(self) -> float:
-        return self.magnitude / MAG.scale
-
-    @property
-    def orientation_deg(self) -> float:
-        return self.orientation / ANG.scale
-
-
-def fold_unsigned(angle_deg: float) -> float:
-    """Fold an angle from (-180, 180] into [0, 180): add 180 when negative,
-    and map exactly 180 to 0."""
-    if angle_deg < 0.0:
-        angle_deg += 180.0
-    if angle_deg == 180.0:
-        angle_deg = 0.0
-    return angle_deg
 
 
 def polar_raw(gx: int, gy: int, cfg: CordicConfig) -> tuple[int, int, float]:
@@ -188,22 +186,29 @@ def vector_translate(g: GradientPair, cfg: CordicConfig) -> PolarGradient:
 
 
 class PolarTable:
-    """Memoized CORDIC over the full [-255, 255]^2 input grid.
+    """Memoized CORDIC over the full gradient grid, indexed by grid_index.
 
     Pure-function memoization: lookups are exhaustively identical to the
-    scalar core. Constant data, not pipeline buffer state.
+    scalar core. Constant data, not pipeline buffer state. The build
+    rejects a config whose largest magnitude overflows MAG, or whose full
+    cell of it would overflow CELL_ACC, so no later stage can saturate.
     """
 
     def __init__(self, cfg: CordicConfig):
-        side = np.arange(-255, 256, dtype=np.int64)
-        gx = np.repeat(side, 511)
-        gy = np.tile(side, 511)
-        mag, ang, _ = polar_raw_arrays(gx, gy, cfg)
-        self.mag_raw = mag.astype(np.int64)
-        self.ang_raw = ang.astype(np.int64)
+        from .cells import CELL_SIZE  # deferred: cells -> voting -> cordic
+
+        mag, ang, _ = polar_raw_arrays(*gradient_grid(), cfg)
+        peak = int(mag.max())
+        if peak > MAG.raw_max or CELL_SIZE * CELL_SIZE * peak > CELL_ACC.raw_max:
+            raise ValueError(
+                f"peak magnitude {peak} raw overflows MAG or a "
+                f"{CELL_SIZE}x{CELL_SIZE} cell of CELL_ACC"
+            )
+        self.mag_raw = mag
+        self.ang_raw = ang
 
     def lookup(self, gx: int, gy: int) -> tuple[int, int]:
-        i = (gx + 255) * 511 + (gy + 255)
+        i = grid_index(gx, gy)
         return int(self.mag_raw[i]), int(self.ang_raw[i])
 
 

@@ -7,6 +7,7 @@ the layout of HogFrame.blocks, and the score is a plain dot product plus
 bias. Windows slide on the cell grid; no non-maximum suppression.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,7 @@ def window_positions(cell_cols: int, cell_rows: int, stride_cells: int = 1) -> i
 
 
 def save_model(model: SvmModel, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"{_MAGIC} {_VERSION} {model.weights.size}\n")
         for w in model.weights:
             # repr of a python float roundtrips exactly
@@ -115,9 +116,14 @@ def save_model(model: SvmModel, path) -> None:
 
 def load_model(path) -> SvmModel:
     """Read the text weight format: a `hog-svm v1 <n>` header, one weight
-    per line, then `bias <b>` and `threshold <t>` trailers."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    per line, then `bias <b>` and `threshold <t>` trailers. Weights and
+    bias must be finite and the threshold not NaN, since a NaN score
+    would silently fail every threshold test."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise FormatError(f"model file is not UTF-8 text: {e}") from None
     if not lines:
         raise FormatError("empty model file")
     head = lines[0].split()
@@ -127,6 +133,8 @@ def load_model(path) -> SvmModel:
         declared = int(head[2])
     except ValueError:
         raise FormatError(f"bad weight count: {head[2]!r}") from None
+    if declared < 0:
+        raise FormatError(f"negative weight count: {declared}")
     body = lines[1:]
     if len(body) != declared + 2:
         raise CountMismatch(
@@ -139,6 +147,10 @@ def load_model(path) -> SvmModel:
         raise FormatError(f"malformed weight: {e}") from None
     bias = _trailer(body[declared], "bias")
     threshold = _trailer(body[declared + 1], "threshold")
+    if not (np.isfinite(weights).all() and math.isfinite(bias)):
+        raise FormatError("weights and bias must be finite")
+    if math.isnan(threshold):
+        raise FormatError("threshold is NaN")
     return SvmModel(weights=weights, bias=bias, threshold=threshold)
 
 

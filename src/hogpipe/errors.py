@@ -14,7 +14,7 @@ class DimensionError(ValueError):
 
 
 class FormatMismatch(ValueError):
-    """Fixed-point operands with incompatible Q formats."""
+    """Data disagrees with the format it is written in (payload vs header)."""
 
 
 class OrderError(RuntimeError):

@@ -1,17 +1,18 @@
-"""Q-format fixed-point arithmetic with explicit widths and saturation.
+"""Q-format register descriptions, conversion and rounding.
 
 A QFormat describes a two's complement register: `int_bits` magnitude bits,
 `frac_bits` fractional bits, plus a sign bit when `signed`. The represented
-value of a raw integer is raw / 2**frac_bits. All operations saturate at the
-format limits instead of wrapping; saturation is reported on the result, not
-raised.
+value of a raw integer is raw / 2**frac_bits. quantize saturates at the
+format limits instead of wrapping and flags it on the result.
+
+The datapath itself works on raw Python or numpy integers, not QValues,
+and cannot saturate: the polar table build checks once that the largest
+magnitude fits MAG and that a full cell of it fits CELL_ACC.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-from .errors import FormatMismatch
 
 
 class Rounding(Enum):
@@ -72,8 +73,9 @@ class QValue:
 # Pipeline register formats. GRAD is a 9-bit signed integer (sign plus 8
 # magnitude bits, so raw range [-256, 255]); pixel differences never exceed
 # +-255. MAG leaves headroom for the uncompensated CORDIC gain, ANG holds
-# degrees in [0, 180) at 13 fractional bits, CELL_ACC holds 64 magnitude
-# votes per bin without overflow (64 * 594 * 64 < 2**22).
+# degrees in [0, 180) at 13 fractional bits, CELL_ACC holds the 64 votes
+# of one 8x8 cell per bin. The default CORDIC peaks at 23080 raw magnitude
+# and 64 * 23080 < 2**22; the polar table build enforces both bounds.
 GRAD = QFormat(signed=True, int_bits=8, frac_bits=0)
 MAG = QFormat(signed=False, int_bits=10, frac_bits=6)
 ANG = QFormat(signed=False, int_bits=8, frac_bits=13)
@@ -113,52 +115,3 @@ def quantize(x: float, fmt: QFormat, mode: Rounding = Rounding.NEAREST_EVEN) -> 
 
 def dequantize(v: QValue) -> float:
     return v.raw / v.format.scale
-
-
-def _binop_format(a: QValue, b: QValue) -> QFormat:
-    if a.format.frac_bits != b.format.frac_bits:
-        raise FormatMismatch(
-            f"frac bits differ: {a.format.frac_bits} vs {b.format.frac_bits}"
-        )
-    return QFormat(
-        signed=a.format.signed or b.format.signed,
-        int_bits=max(a.format.int_bits, b.format.int_bits),
-        frac_bits=a.format.frac_bits,
-    )
-
-
-def q_add(a: QValue, b: QValue) -> QValue:
-    """Saturating add. Operands must share frac_bits; the result keeps the
-    wider integer range of the two."""
-    fmt = _binop_format(a, b)
-    raw, sat = fmt.clamp(a.raw + b.raw)
-    return QValue(fmt, raw, sat)
-
-
-def q_sub(a: QValue, b: QValue) -> QValue:
-    fmt = _binop_format(a, b)
-    raw, sat = fmt.clamp(a.raw - b.raw)
-    return QValue(fmt, raw, sat)
-
-
-def q_mul(a: QValue, b: QValue) -> QValue:
-    """Full-precision product: frac bits add, integer bits add. The only
-    overflow case is -max * -max on signed operands, which saturates."""
-    fmt = QFormat(
-        signed=a.format.signed or b.format.signed,
-        int_bits=a.format.int_bits + b.format.int_bits,
-        frac_bits=a.format.frac_bits + b.format.frac_bits,
-    )
-    raw, sat = fmt.clamp(a.raw * b.raw)
-    return QValue(fmt, raw, sat)
-
-
-def q_shift(a: QValue, k: int) -> QValue:
-    """Shift by k bit positions (positive = left), saturating, format kept.
-
-    Right shifts are arithmetic (floor), the behaviour of a hardware barrel
-    shifter on two's complement.
-    """
-    raw = a.raw << k if k >= 0 else a.raw >> (-k)
-    raw, sat = a.format.clamp(raw)
-    return QValue(a.format, raw, sat)

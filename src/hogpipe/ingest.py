@@ -1,4 +1,4 @@
-"""Image ingest: binary netpbm decoding, Bayer demosaic, grayscale, pixel stream.
+"""Image ingest: binary netpbm decoding, Bayer demosaic, grayscale.
 
 Only the binary variants P5 (grayscale) and P6 (RGB) with maxval 255 are
 accepted. A Bayer frame is a P5 payload reinterpreted as an RGGB mosaic;
@@ -187,33 +187,6 @@ def load_luma(path: str, bayer: bool = False) -> GrayFrame:
     return GrayFrame(raw.width, raw.height, luma.copy())
 
 
-class PixelStream:
-    """Row-major single pass over a GrayFrame, one (row, col, luma) per step."""
-
-    def __init__(self, frame: GrayFrame):
-        self._frame = frame
-        self._pos = 0
-        self._n = frame.width * frame.height
-
-    @property
-    def cursor(self) -> tuple[int, int]:
-        return divmod(self._pos, self._frame.width)
-
-    def __iter__(self) -> "PixelStream":
-        return self
-
-    def __next__(self) -> tuple[int, int, int]:
-        if self._pos >= self._n:
-            raise StopIteration
-        r, c = divmod(self._pos, self._frame.width)
-        self._pos += 1
-        return r, c, int(self._frame.luma[r, c])
-
-
-def stream(frame: GrayFrame) -> PixelStream:
-    return PixelStream(frame)
-
-
 def write_pgm(path: str, luma: np.ndarray) -> None:
     """Write a uint8 array as binary P5. Test and corpus plumbing."""
     a = np.ascontiguousarray(luma, dtype=np.uint8)
@@ -222,10 +195,3 @@ def write_pgm(path: str, luma: np.ndarray) -> None:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(a.tobytes())
 
-
-def write_ppm(path: str, rgb: np.ndarray) -> None:
-    a = np.ascontiguousarray(rgb, dtype=np.uint8)
-    h, w, _ = a.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(a.tobytes())

@@ -8,8 +8,9 @@ the gradient stage drains its latency tail, each flushed pixel costing
 one further step. pixels_per_step therefore lands just under 1.0: the
 frame's pixel count divided by pixel count plus warm-up.
 
-run_frame is the instrumented streaming path. run_frame_fast computes
-the identical HogFrame with whole-frame array arithmetic (memoized polar
+run_frame is the instrumented streaming path; its polar stage reads the
+memoized PolarTable one pixel at a time. run_frame_fast computes the
+identical HogFrame with whole-frame array arithmetic (memoized vote
 table, bincount histograms); every stage of it is integer-identical to
 the scalar datapath, so the two outputs match element-exactly.
 """
@@ -19,9 +20,15 @@ from enum import Enum
 
 import numpy as np
 
-from .blocks import BLOCK_EPSILON, BLOCK_VALUES, BlockAssembler, HogFrame
-from .cells import CellAccumulator, cells_per_frame
-from .cordic import CordicConfig, polar_raw, PolarGradient
+from .blocks import (
+    BLOCK_EPSILON,
+    BLOCK_VALUES,
+    BlockAssembler,
+    HogFrame,
+    normalize_grid,
+)
+from .cells import CELL_SIZE, CellAccumulator, cells_per_frame
+from .cordic import CordicConfig, PolarGradient, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
 from .gradient import GradientStage
 from .voting import BIN_COUNT, vote, vote_table
@@ -46,12 +53,9 @@ class PipelineConfig:
     taps: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.width % 8 or self.height % 8:
-            raise DimensionError(
-                f"{self.width}x{self.height} is not a multiple of the cell size"
-            )
-        if self.width < 16 or self.height < 16:
-            raise DimensionError("need at least a 2x2 cell grid, so 16x16 pixels")
+        cols, rows = cells_per_frame(self.width, self.height)
+        if cols < 2 or rows < 2:
+            raise DimensionError(f"need at least a 2x2 cell grid, got {cols}x{rows}")
         object.__setattr__(self, "taps", frozenset(self.taps))
 
 
@@ -71,16 +75,17 @@ class RunStats:
 class StreamingPipeline:
     """Single-frame pipeline instance with step and buffer accounting.
 
-    Call step() once per pixel in row-major order, then finish(). Peak
-    buffer occupancy is tracked per step for the memory-bound check; the
-    memoized polar table is constant data and deliberately not counted.
+    Call step() once per pixel in row-major order, then finish(). The
+    polar stage is a lookup in the memoized PolarTable, exhaustively equal
+    to the scalar CORDIC core. Peak buffer occupancy is tracked per step
+    for the memory-bound check; the table is constant data and
+    deliberately not counted.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         cc, cr = cells_per_frame(cfg.width, cfg.height)
-        self.cell_cols = cc
-        self.cell_rows = cr
+        self._polar = polar_table(cfg.cordic)
         self._grad = GradientStage(cfg.width, cfg.height)
         self._cells = CellAccumulator(cfg.width, cfg.height)
         self._blocks = BlockAssembler(cc, cfg.epsilon)
@@ -126,7 +131,7 @@ class StreamingPipeline:
         cap = self._captures
         if cap and Tap.GRADIENTS in cap:
             cap[Tap.GRADIENTS].append(g)
-        mag, ang, _ = polar_raw(g.gx, g.gy, self.cfg.cordic)
+        mag, ang = self._polar.lookup(g.gx, g.gy)
         p = PolarGradient(mag, ang, g.row, g.col)
         if cap and Tap.POLAR in cap:
             cap[Tap.POLAR].append(p)
@@ -196,11 +201,11 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
     gy = (p[2:, 1:-1] - p[:-2, 1:-1]).astype(np.int32).ravel()
 
     votes = vote_table(cfg.cordic)
-    flat = (gx + 255) * 511 + (gy + 255)
+    flat = grid_index(gx, gy)
 
     base = (
-        np.repeat(np.arange(h, dtype=np.int32) // 8, w) * cc
-        + np.tile(np.arange(w, dtype=np.int32) // 8, h)
+        np.repeat(np.arange(h, dtype=np.int32) // CELL_SIZE, w) * cc
+        + np.tile(np.arange(w, dtype=np.int32) // CELL_SIZE, h)
     ) * BIN_COUNT
     # weights are integers well under 2^53, so float64 bincount is exact
     counts = np.bincount(
@@ -212,15 +217,7 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
         minlength=cr * cc * BIN_COUNT,
     )
     cells = counts.astype(np.int64).reshape(cr, cc, BIN_COUNT)
-
-    v = cells.astype(np.float64) / 64.0  # MAG has 6 fractional bits
-    quads = np.concatenate(
-        [v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]], axis=2
-    )
-    denom = np.sqrt(
-        np.sum(np.square(quads), axis=2) + cfg.epsilon * cfg.epsilon
-    )
-    blocks = quads / denom[..., None]
+    blocks = normalize_grid(cells, cfg.epsilon)
 
     stats = RunStats(
         pixels_in=h * w,

@@ -76,7 +76,7 @@ class VoteTable:
     """Memoized votes over the full gradient grid.
 
     For every (gx, gy) pair the two bin indices and the two raw weights,
-    laid out for flat gathers at (gx + 255) * 511 + (gy + 255). Weights
+    laid out like the PolarTable for flat gathers at cordic.grid_index. Weights
     are stored as float64 so histogram bincounts need no conversion pass;
     the values are integers far below 2^53, so nothing is lost.
     """

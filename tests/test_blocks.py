@@ -9,11 +9,17 @@ from hogpipe.blocks import (
     BLOCK_VALUES,
     BlockAssembler,
     normalize_block,
-    stream_blocks,
 )
 from hogpipe.cells import CellHistogram
 from hogpipe.errors import OrderError, ShapeMismatch
 from hogpipe.fixq import MAG
+
+
+def stream_blocks(cells, cells_cols):
+    """The blocks a row-major cell stream completes, in emission order."""
+    asm = BlockAssembler(cells_cols)
+    blocks = (asm.add(cell) for cell in cells)
+    return [b for b in blocks if b is not None]
 
 
 def hist(bins, r, c):

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -125,6 +126,42 @@ def test_feature_file_rejects_corruption(tmp_path):
         cli.write_features(tmp_path / "n.bin", cli.VIEW_CELL_RAW, 3, 2, np.zeros(53))
 
 
+def test_feature_count_rejects_degenerate_grids(tmp_path):
+    assert cli.feature_count(cli.VIEW_CELL_RAW, 1, 1) == 9
+    assert cli.feature_count(cli.VIEW_BLOCK_NORM, 2, 2) == 36
+    for view, wc, hc in [
+        (cli.VIEW_BLOCK_NORM, 0, 0),  # (-1) * (-1) * 36 would be 36
+        (cli.VIEW_BLOCK_NORM, 1, 4),
+        (cli.VIEW_BLOCK_NORM, 4, 1),
+        (cli.VIEW_CELL_RAW, 0, 3),
+        (cli.VIEW_CELL_RAW, 3, 0),
+    ]:
+        with pytest.raises(FormatError):
+            cli.feature_count(view, wc, hc)
+    with pytest.raises(FormatError):
+        cli.write_features(tmp_path / "w.bin", cli.VIEW_BLOCK_NORM, 0, 0, np.zeros(36))
+    p = tmp_path / "zero.bin"
+    p.write_bytes(struct.pack("<4sHHIII", b"HOGF", 1, cli.VIEW_BLOCK_NORM, 0, 0, 9)
+                  + bytes(36 * 4))
+    with pytest.raises(FormatError):
+        cli.read_features(p)
+
+
+def test_feature_file_rejects_ragged_payload(tmp_path):
+    p = tmp_path / "f.bin"
+    cli.write_features(p, cli.VIEW_CELL_RAW, 3, 2, np.zeros(54, dtype=np.float32))
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(FormatError):
+        cli.read_features(p)
+
+
+def test_extract_has_no_fixed_flag(tmp_path):
+    src, _ = pgm(tmp_path, (16, 16))
+    with pytest.raises(SystemExit):
+        cli.main(["extract", "--input", str(src), "--output", str(tmp_path / "o"),
+                  "--view", "cell", "--fixed"])
+
+
 def test_compare_passes_default_threshold(tmp_path, capsys):
     src, _ = pgm(tmp_path, (32, 32), seed=5)
     rc = cli.main(["compare", "--input", str(src)])
@@ -206,6 +243,15 @@ def test_detect_truncated_model_exits_4(tmp_path, capsys):
     weights.write_text("\n".join(lines) + "\n")
     rc = cli.main(["detect", "--input", str(src), "--weights", str(weights)])
     assert rc == 4
+
+
+def test_detect_non_utf8_model_exits_2(tmp_path, capsys):
+    src, _ = pgm(tmp_path, (128, 64), seed=10)
+    weights = tmp_path / "model.txt"
+    weights.write_bytes(b"hog-svm v1 3780\n\xff\xfe\n")
+    rc = cli.main(["detect", "--input", str(src), "--weights", str(weights)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_console_entry_point_runs():

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hogpipe.cordic import (
+    GRID_SIDE,
     CordicConfig,
     PolarTable,
-    fold_unsigned,
+    gradient_grid,
+    grid_index,
     polar_raw,
     polar_raw_arrays,
     polar_table,
     vector_translate,
 )
-from hogpipe.fixq import ANG, MAG
+from hogpipe.fixq import ANG, CELL_ACC, MAG
 from hogpipe.gradient import GradientPair
 from oracles import ref_polar
 
@@ -72,14 +74,6 @@ def test_axes():
         assert circ_dist_deg(ang, want) <= 0.01
 
 
-def test_fold_unsigned():
-    assert fold_unsigned(-90.0) == 90.0
-    assert fold_unsigned(180.0) == 0.0
-    assert fold_unsigned(53.13) == 53.13
-    assert fold_unsigned(0.0) == 0.0
-    assert fold_unsigned(-1e-18) < 180.0  # lands in range after the fold
-
-
 @given(st.integers(-255, 255), st.integers(-255, 255))
 @settings(max_examples=200)
 def test_sign_symmetry_exact(gx, gy):
@@ -120,8 +114,8 @@ def test_outputs_stay_in_format_range():
 def test_vector_translate_carries_coordinates():
     p = vector_translate(GradientPair(3, 4, 7, 9), CFG)
     assert (p.row, p.col) == (7, 9)
-    assert abs(p.magnitude_value - 5.0) <= 0.01
-    assert circ_dist_deg(p.orientation_deg, 53.13) <= 0.01
+    assert abs(p.magnitude / MAG.scale - 5.0) <= 0.01
+    assert circ_dist_deg(p.orientation / ANG.scale, 53.13) <= 0.01
 
 
 def test_array_core_matches_scalar_on_sample():
@@ -140,6 +134,23 @@ def test_table_matches_scalar_lookups():
     for gx, gy in [(0, 0), (3, 4), (-255, 255), (1, 0), (-1, 0), (17, -252)]:
         m, a, _ = polar_raw(gx, gy, CFG)
         assert table.lookup(gx, gy) == (m, a)
+
+
+def test_table_build_checks_headroom():
+    peak = int(polar_table(CFG).mag_raw.max())
+    assert peak == 23080
+    assert 64 * peak <= CELL_ACC.raw_max
+    # a gain of 3 instead of ~0.607 drives the peak to 114021 raw
+    with pytest.raises(ValueError, match="overflows MAG"):
+        polar_table(CordicConfig(gain_reciprocal=3 * 65536))
+
+
+def test_grid_index_matches_gradient_grid():
+    gx, gy = gradient_grid()
+    assert gx.size == GRID_SIDE * GRID_SIDE
+    idx = grid_index(gx, gy)
+    assert np.array_equal(idx, np.arange(gx.size))
+    assert grid_index(-255, -255) == 0 and grid_index(255, 255) == gx.size - 1
 
 
 def test_table_is_cached():

@@ -197,6 +197,27 @@ def test_load_rejects_bad_header_and_trailers(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize(
+    "weight,bias,threshold",
+    [("nan", "0", "0"), ("inf", "0", "0"), ("0", "nan", "0"), ("0", "-inf", "0"),
+     ("0", "0", "nan")],
+)
+def test_load_rejects_non_finite_values(tmp_path, weight, bias, threshold):
+    p = tmp_path / "m.txt"
+    lines = [f"hog-svm v1 {N_FEATURES}"] + [weight] * N_FEATURES
+    lines += [f"bias {bias}", f"threshold {threshold}"]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError):
+        load_model(p)
+
+
+def test_load_rejects_negative_count(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("hog-svm v1 -2\n")
+    with pytest.raises(FormatError):
+        load_model(p)
+
+
 def test_detection_fields():
     d = Detection(x=16, y=24, score=0.5)
     assert (d.x, d.y, d.score) == (16, 24, 0.5)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hogpipe.errors import FormatMismatch
 from hogpipe.fixq import (
     ANG,
     CELL_ACC,
@@ -14,10 +13,6 @@ from hogpipe.fixq import (
     QValue,
     Rounding,
     dequantize,
-    q_add,
-    q_mul,
-    q_shift,
-    q_sub,
     quantize,
     rne_shift,
 )
@@ -67,48 +62,6 @@ def test_dequantize_roundtrip_exact_points():
     assert dequantize(QValue(ANG, 435241)) == pytest.approx(53.13, abs=2**-13)
 
 
-def test_q_add_example():
-    fmt = QFormat(signed=True, int_bits=8, frac_bits=2)
-    a = quantize(1.5, fmt)
-    b = quantize(2.25, fmt)
-    out = q_add(a, b)
-    assert out.raw == 15 and dequantize(out) == 3.75
-
-
-def test_q_add_saturation_flag():
-    fmt = QFormat(signed=False, int_bits=4, frac_bits=0)
-    top = QValue(fmt, fmt.raw_max)
-    out = q_add(top, QValue(fmt, 1))
-    assert out.raw == fmt.raw_max and out.saturated
-    # saturation is idempotent
-    again = q_add(out, QValue(fmt, 1))
-    assert again.raw == fmt.raw_max
-
-
-def test_q_mul_example():
-    fmt = QFormat(signed=True, int_bits=2, frac_bits=2)
-    half = quantize(0.5, fmt)
-    out = q_mul(half, half)
-    assert out.format.frac_bits == 4
-    assert out.raw == 4 and dequantize(out) == 0.25
-
-
-def test_q_sub_and_shift():
-    fmt = QFormat(signed=True, int_bits=6, frac_bits=2)
-    a, b = QValue(fmt, 9), QValue(fmt, 15)
-    assert q_sub(a, b).raw == -6
-    assert q_shift(QValue(fmt, 5), 2).raw == 20
-    assert q_shift(QValue(fmt, -5), -1).raw == -3  # arithmetic shift floors
-    assert q_shift(QValue(fmt, fmt.raw_max), 1).saturated
-
-
-def test_add_requires_equal_frac_bits():
-    a = QValue(QFormat(signed=True, int_bits=4, frac_bits=2), 1)
-    b = QValue(QFormat(signed=True, int_bits=4, frac_bits=3), 1)
-    with pytest.raises(FormatMismatch):
-        q_add(a, b)
-
-
 def test_rne_shift_half_even():
     assert rne_shift(6, 2) == 2  # 1.5 -> 2? no: 6/4=1.5 -> even 2
     assert rne_shift(10, 2) == 2  # 2.5 -> 2
@@ -127,32 +80,44 @@ _SMALL_FORMATS = [
 ]
 
 
+def _clamp_exact(exact: Fraction, fmt: QFormat) -> tuple[Fraction, bool]:
+    lo = Fraction(fmt.raw_min, fmt.scale)
+    hi = Fraction(fmt.raw_max, fmt.scale)
+    clamped = min(max(exact, lo), hi)
+    return clamped, clamped != exact
+
+
+def _round_half_even(x: Fraction) -> int:
+    lo = math.floor(x)
+    frac = x - lo
+    return lo + 1 if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and lo % 2) else lo
+
+
 @pytest.mark.parametrize("fmt_a", _SMALL_FORMATS)
 def test_ops_equal_exact_rational_then_quantize(fmt_a):
-    # Brute force: every op on QValues matches exact rational arithmetic
-    # followed by a single clamp to the result format.
+    # Brute force: the datapath's raw-int add, sub and multiply, brought back
+    # to fmt_a by quantize (floats, exact for these small dyadic values) or by
+    # rne_shift + clamp (ints, as the vote stage does), match exact rational
+    # arithmetic followed by one round-half-even and one clamp to fmt_a.
     fmt_b = QFormat(signed=not fmt_a.signed, int_bits=2, frac_bits=fmt_a.frac_bits)
     for ra in range(fmt_a.raw_min, fmt_a.raw_max + 1):
         for rb in range(fmt_b.raw_min, fmt_b.raw_max + 1):
             a, b = QValue(fmt_a, ra), QValue(fmt_b, rb)
-            s = q_add(a, b)
-            exact = Fraction(ra + rb, fmt_a.scale)
-            assert Fraction(s.raw, s.format.scale) == min(
-                max(exact, Fraction(s.format.raw_min, s.format.scale)),
-                Fraction(s.format.raw_max, s.format.scale),
-            )
-            d = q_sub(a, b)
-            exact = Fraction(ra - rb, fmt_a.scale)
-            assert Fraction(d.raw, d.format.scale) == min(
-                max(exact, Fraction(d.format.raw_min, d.format.scale)),
-                Fraction(d.format.raw_max, d.format.scale),
-            )
-            m = q_mul(a, b)
-            exact = Fraction(ra * rb, fmt_a.scale * fmt_b.scale)
-            assert Fraction(m.raw, m.format.scale) == min(
-                max(exact, Fraction(m.format.raw_min, m.format.scale)),
-                Fraction(m.format.raw_max, m.format.scale),
-            )
+            for raw, frac_bits in (
+                (ra + rb, fmt_a.frac_bits),
+                (ra - rb, fmt_a.frac_bits),
+                (ra * rb, fmt_a.frac_bits + fmt_b.frac_bits),
+            ):
+                exact = Fraction(raw, 1 << frac_bits)
+                want, want_sat = _clamp_exact(
+                    Fraction(_round_half_even(exact * fmt_a.scale), fmt_a.scale), fmt_a
+                )
+                got = quantize(float(exact), fmt_a)
+                assert Fraction(got.raw, fmt_a.scale) == want
+                assert got.saturated == want_sat
+                shifted, sat = fmt_a.clamp(rne_shift(raw, frac_bits - fmt_a.frac_bits))
+                assert Fraction(shifted, fmt_a.scale) == want and sat == want_sat
+            assert dequantize(a) + dequantize(b) == float(Fraction(ra + rb, fmt_a.scale))
 
 
 @given(st.floats(min_value=0.0, max_value=180.0, allow_nan=False))

@@ -4,23 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from hogpipe.errors import DimensionError, FormatError, LayoutError
 from hogpipe.ingest import (
-    GrayFrame,
     Layout,
     RawFrame,
     as_bayer,
     decode_image,
     demosaic_bilinear,
     load_luma,
-    stream,
     to_grayscale,
     write_pgm,
 )
 from oracles import ref_decode_pgm
-
-
-def _gray(arr) -> GrayFrame:
-    a = np.asarray(arr, dtype=np.uint8)
-    return GrayFrame(a.shape[1], a.shape[0], a)
 
 
 def test_decode_p5_all_sevens(tmp_path):
@@ -167,30 +160,6 @@ def test_grayscale_monotone_in_each_channel(v):
         brighter[..., ch] = max(v + 1, 65)
         g1 = to_grayscale(RawFrame(3, 3, Layout.RGB8, brighter.tobytes()))
         assert (g1.luma >= g0.luma).all()
-
-
-def test_stream_order_2x2():
-    f = _gray([[1, 2], [3, 4]])
-    assert list(stream(f)) == [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
-
-
-def test_stream_count_640x480():
-    f = _gray(np.zeros((480, 640), dtype=np.uint8))
-    n = sum(1 for _ in stream(f))
-    assert n == 307200
-
-
-def test_stream_is_repeatable_and_single_pass():
-    rng = np.random.default_rng(3)
-    f = _gray(rng.integers(0, 256, size=(5, 7), dtype=np.uint8))
-    a = list(stream(f))
-    b = list(stream(f))
-    assert a == b
-    coords = [(r, c) for r, c, _ in a]
-    assert len(set(coords)) == len(coords) == 35
-    s = stream(f)
-    next(s)
-    assert s.cursor == (0, 1)
 
 
 def test_load_luma_paths(tmp_path):

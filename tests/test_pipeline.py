@@ -58,6 +58,18 @@ def test_streaming_equals_batch_composition(shape):
     assert np.array_equal(hog.blocks, blocks)
 
 
+def test_streaming_equals_batch_composition_custom_cordic():
+    # the streaming polar stage reads the table built for its own config
+    luma = rand_frame((16, 24), 3)
+    cordic = CordicConfig(iterations=14)
+    hog, _ = run_frame(luma, cfg_for(luma, cordic=cordic))
+    cells, blocks = ref_batch_fixed(luma, cordic)
+    assert np.array_equal(hog.cells, cells)
+    assert np.array_equal(hog.blocks, blocks)
+    default, _ = run_frame(luma, cfg_for(luma))
+    assert not np.array_equal(default.cells, hog.cells)
+
+
 @pytest.mark.parametrize("shape", [(16, 16), (24, 32), (48, 40)])
 def test_fast_path_is_bit_identical(shape):
     luma = rand_frame(shape, 7 + sum(shape))
