@@ -14,7 +14,8 @@ is emitted the moment cell (r, c) arrives.
 Normalization happens in double precision on the dequantized accumulator
 values by normalize_grid, which the streaming path calls on a 2x2 grid per
 block and the batch path on the whole frame. That one code path keeps the
-two element-exactly interchangeable.
+two element-exactly interchangeable. block_quads owns the block layout
+for it and for the golden model.
 """
 
 from dataclasses import dataclass
@@ -59,11 +60,19 @@ def normalize_block(
     )
 
 
+def block_quads(cells: np.ndarray) -> np.ndarray:
+    """Every overlapping 2x2 neighborhood of a (rows, cols, 9) cell grid,
+    concatenated tl, tr, bl, br with the bins innermost: the one block
+    layout, a (rows - 1, cols - 1, 36) array."""
+    return np.concatenate(
+        [cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:]], axis=2
+    )
+
+
 def normalize_grid(cells: np.ndarray, epsilon: float = BLOCK_EPSILON) -> np.ndarray:
     """Every overlapping 2x2 block of a raw (rows, cols, 9) cell grid,
     L2-normalized: a (rows - 1, cols - 1, 36) float64 array."""
-    v = cells.astype(np.float64) / MAG.scale
-    quads = np.concatenate([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]], axis=2)
+    quads = block_quads(cells.astype(np.float64) / MAG.scale)
     denom = np.sqrt(np.sum(np.square(quads), axis=2) + epsilon * epsilon)
     return quads / denom[..., None]
 

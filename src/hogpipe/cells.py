@@ -8,10 +8,13 @@ position (7, 7)) arrives, the finished histogram is emitted and that
 partial is zeroed for reuse by the cell below it.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
-of headroom; 64 maximal magnitudes cannot overflow.
+of headroom; 64 maximal magnitudes cannot overflow. cell_bin_base is the
+one whole-frame pixel-to-cell index, for the vectorized and golden paths.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DimensionError, OrderError
 from .voting import BIN_COUNT, BinVote
@@ -28,6 +31,15 @@ def cells_per_frame(width: int, height: int) -> tuple[int, int]:
     if width == 0 or height == 0:
         raise DimensionError("empty frame")
     return width // CELL_SIZE, height // CELL_SIZE
+
+
+def cell_bin_base(width: int, height: int) -> np.ndarray:
+    """For every pixel in row-major order, the flat index of bin 0 of its
+    cell in a (cell_rows, cell_cols, 9) histogram, as int32."""
+    cols, _ = cells_per_frame(width, height)
+    rows = np.arange(height, dtype=np.int32)[:, None] // CELL_SIZE
+    cells = rows * cols + np.arange(width, dtype=np.int32) // CELL_SIZE
+    return (cells * BIN_COUNT).ravel()
 
 
 @dataclass(frozen=True)

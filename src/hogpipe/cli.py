@@ -201,6 +201,13 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hogpipe")
     sub = p.add_subparsers(dest="command", required=True)
@@ -221,14 +228,14 @@ def _parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="throughput on synthetic frames")
     be.add_argument("--width", type=int, required=True)
     be.add_argument("--height", type=int, required=True)
-    be.add_argument("--frames", type=int, required=True)
+    be.add_argument("--frames", type=_positive_int, required=True)
     be.add_argument("--seed", type=int, default=0)
     be.set_defaults(func=cmd_bench)
 
     de = sub.add_parser("detect", help="sliding-window scoring to CSV")
     de.add_argument("--input", required=True)
     de.add_argument("--weights", required=True)
-    de.add_argument("--stride", type=int, default=1)
+    de.add_argument("--stride", type=_positive_int, default=1)
     de.add_argument("--out")
     de.set_defaults(func=cmd_detect)
     return p

@@ -16,9 +16,10 @@ U10.6 interface quantization. Orientation is folded to [0, 180) degrees:
 negative angles gain 180, and 180 itself is 0.
 
 The scalar and array code paths perform identical integer operations and
-are exhaustively asserted equal. A PolarTable memoizes the full 511x511
-gradient grid; the streaming model reads its polar stage from it and the
-vectorized path builds its vote table on it.
+are exhaustively asserted equal (polar_raw is the oracle); both round
+through fixq.rne_shift. A PolarTable memoizes the full 511x511 gradient
+grid at grid_index; the streaming model reads its polar stage from it and
+the vectorized path builds its vote table on it.
 """
 
 import math
@@ -166,17 +167,8 @@ def polar_raw_arrays(
     ang = np.where(zero, 0, z % RAW_180)
     comp = x * np.int64(cfg.gain_reciprocal)
     precise = np.where(zero, 0.0, comp / np.exp2((shift + 16).astype(np.float64)))
-    mag = np.where(zero, 0, _rne_shift_vec(comp, shift + 16 - MAG.frac_bits))
+    mag = np.where(zero, 0, rne_shift(comp, shift + 16 - MAG.frac_bits))
     return mag, ang, precise
-
-
-def _rne_shift_vec(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """rne_shift with a per-element shift amount (always positive here)."""
-    q = x >> s
-    r = x & ((np.int64(1) << s) - 1)
-    half = np.int64(1) << (s - 1)
-    inc = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + inc
 
 
 def vector_translate(g: GradientPair, cfg: CordicConfig) -> PolarGradient:

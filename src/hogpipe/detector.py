@@ -49,14 +49,6 @@ class SvmModel:
             * BLOCK_VALUES
         )
 
-    @property
-    def window_width(self) -> int:
-        return self.window_cell_cols * CELL_SIZE
-
-    @property
-    def window_height(self) -> int:
-        return self.window_cell_rows * CELL_SIZE
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -95,13 +87,6 @@ def detect(frame, model: SvmModel, stride_cells: int = 1) -> list[Detection]:
                 out.append(Detection(cx * CELL_SIZE, cy * CELL_SIZE, s))
     out.sort(key=lambda d: (-d.score, d.y, d.x))
     return out
-
-
-def window_positions(cell_cols: int, cell_rows: int, stride_cells: int = 1) -> int:
-    """How many window placements detect() scores on a given cell grid."""
-    nx = (cell_cols - WINDOW_CELL_COLS) // stride_cells + 1
-    ny = (cell_rows - WINDOW_CELL_ROWS) // stride_cells + 1
-    return max(nx, 0) * max(ny, 0)
 
 
 def save_model(model: SvmModel, path) -> None:

@@ -82,14 +82,14 @@ ANG = QFormat(signed=False, int_bits=8, frac_bits=13)
 CELL_ACC = QFormat(signed=False, int_bits=16, frac_bits=6)
 
 
-def rne_shift(x, s: int):
-    """Arithmetic right shift by s with round-half-to-even.
-
-    Works on Python ints and numpy integer arrays alike; s <= 0 is a plain
-    left shift. The remainder is taken non-negative (two's complement), so
-    rounding is around floor in all cases.
+def rne_shift(x, s):
+    """Arithmetic right shift by s with round-half-to-even, the datapath's
+    one rounding rule. x is a Python int (the result stays one) or a numpy
+    integer array; s is an int (s <= 0 is a plain left shift) or an array
+    of positive per-element shifts. The remainder is taken non-negative
+    (two's complement), so rounding is around floor in all cases.
     """
-    if s <= 0:
+    if isinstance(s, int) and s <= 0:
         return x << (-s)
     q = x >> s
     r = x & ((1 << s) - 1)

@@ -1,10 +1,11 @@
 """Double-precision whole-frame reference model and the comparator that
 measures how far the fixed-point pipeline drifts from it.
 
-The golden model repeats every geometry decision of the streaming pipeline
+The golden model follows every geometry decision of the streaming pipeline
 (replicated borders, bin centers at 10 + 20k degrees, 8x8 cells, 2x2
 blocks at stride one, epsilon inside the square root) in plain float64,
-so a diff against it isolates quantization error.
+so a diff against it isolates quantization error. Gradients, cell index
+and block layout come from the owners the fixed path also calls.
 
 Accumulation uses exactly-rounded sums (math.fsum) for cell bins and for
 block denominators. fsum is order-independent, which makes the vectorized
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame
-from .cells import CELL_SIZE, cells_per_frame
+from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
+from .cells import cell_bin_base, cells_per_frame
 from .errors import ShapeMismatch
 from .fixq import MAG
+from .gradient import frame_gradients
 from .voting import BIN_COUNT
 
 
@@ -57,14 +59,6 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def golden_gradients(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences with replicated borders, as integer arrays."""
-    p = np.pad(luma.astype(np.int64), 1, mode="edge")
-    gx = p[1:-1, 2:] - p[1:-1, :-2]
-    gy = p[2:, 1:-1] - p[:-2, 1:-1]
-    return gx, gy
-
-
 def golden_polar(
     gx: np.ndarray, gy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +75,7 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
 
-    gx, gy = golden_gradients(luma)
+    gx, gy = frame_gradients(luma)
     mag, ang = golden_polar(gx, gy)
 
     # real-valued center-interpolated votes
@@ -94,12 +88,8 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
 
     # group votes by (cell, bin) and reduce each group with fsum so the
     # result does not depend on traversal order
-    rows = np.repeat(np.arange(h) // CELL_SIZE, w)
-    cols = np.tile(np.arange(w) // CELL_SIZE, h)
-    cell_idx = rows * cc + cols
-    keys = np.concatenate(
-        [cell_idx * BIN_COUNT + lo_bin.ravel(), cell_idx * BIN_COUNT + hi_bin.ravel()]
-    )
+    base = cell_bin_base(w, h)
+    keys = np.concatenate([base + lo_bin.ravel(), base + hi_bin.ravel()])
     weights = np.concatenate([lo_w.ravel(), hi_w.ravel()])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -112,9 +102,7 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
         cells[k] = math.fsum(wl[bounds[k] : bounds[k + 1]])
     cells = cells.reshape(cr, cc, BIN_COUNT)
 
-    quads = np.concatenate(
-        [cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:]], axis=2
-    )
+    quads = block_quads(cells)
     blocks = np.empty_like(quads)
     eps_sq = epsilon * epsilon
     for i in range(quads.shape[0]):

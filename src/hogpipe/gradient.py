@@ -13,12 +13,32 @@ with coordinates clamped to the frame (replicate-edge border policy). After
 the last pixel of a frame, drain() runs the remaining warm-up's worth of
 steps to flush the tail; a W x H frame yields exactly W*H pairs over
 W*H + latency steps.
+
+warmup_steps is the one latency formula and frame_gradients the one
+whole-frame difference; the vectorized path and the golden model use them.
 """
 
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .errors import DimensionError
+
+
+def warmup_steps(width: int) -> int:
+    """Steps before the first emission: one row plus two pixels."""
+    return width + 2
+
+
+def frame_gradients(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gx, gy) of a whole 8-bit frame as (height, width) int32 arrays,
+    with the stage's replicate-edge border policy."""
+    # int16 keeps pad and subtraction narrow; int32 leaves room for grid_index
+    p = np.pad(luma.astype(np.int16), 1, mode="edge")
+    gx = (p[1:-1, 2:] - p[1:-1, :-2]).astype(np.int32)
+    gy = (p[2:, 1:-1] - p[:-2, 1:-1]).astype(np.int32)
+    return gx, gy
 
 
 @dataclass(frozen=True)
@@ -37,12 +57,9 @@ class GradientStage:
         self.height = height
         self._cap = 2 * width + 3
         self._ring = [0] * self._cap
+        self._latency = warmup_steps(width)
         self._pushed = 0
         self._emitted = 0
-
-    def latency_pixels(self) -> int:
-        """Warm-up steps before the first emission: one row plus two pixels."""
-        return self.width + 2
 
     @property
     def buffered_pixels(self) -> int:
@@ -67,7 +84,7 @@ class GradientStage:
         """One stream step. Returns a pair once warm-up has passed, else None."""
         self._ring[self._pushed % self._cap] = luma
         self._pushed += 1
-        if self._pushed > self.latency_pixels():
+        if self._pushed > self._latency:
             return self._emit()
         return None
 

@@ -59,7 +59,8 @@ class GrayFrame:
 
 
 def _read_token(f: io.BufferedReader) -> bytes:
-    """Next whitespace-delimited header token, skipping # comments."""
+    """Next whitespace-delimited header token, skipping # comments; as in
+    libnetpbm, the newline ending a comment delimits like any whitespace."""
     tok = b""
     while True:
         c = f.read(1)
@@ -68,7 +69,6 @@ def _read_token(f: io.BufferedReader) -> bytes:
         if c == b"#":
             while c not in (b"\n", b""):
                 c = f.read(1)
-            continue
         if c.isspace():
             if tok:
                 return tok

@@ -12,7 +12,8 @@ run_frame is the instrumented streaming path; its polar stage reads the
 memoized PolarTable one pixel at a time. run_frame_fast computes the
 identical HogFrame with whole-frame array arithmetic (memoized vote
 table, bincount histograms); every stage of it is integer-identical to
-the scalar datapath, so the two outputs match element-exactly.
+the scalar datapath, so the two outputs match element-exactly. It owns
+no datapath decision: each comes from its stage's module.
 """
 
 from dataclasses import dataclass, field
@@ -27,10 +28,10 @@ from .blocks import (
     HogFrame,
     normalize_grid,
 )
-from .cells import CELL_SIZE, CellAccumulator, cells_per_frame
+from .cells import CellAccumulator, cell_bin_base, cells_per_frame
 from .cordic import CordicConfig, PolarGradient, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
-from .gradient import GradientStage
+from .gradient import GradientStage, frame_gradients, warmup_steps
 from .voting import BIN_COUNT, vote, vote_table
 
 
@@ -196,17 +197,10 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
 
-    p = np.pad(luma.astype(np.int16), 1, mode="edge")
-    gx = (p[1:-1, 2:] - p[1:-1, :-2]).astype(np.int32).ravel()
-    gy = (p[2:, 1:-1] - p[:-2, 1:-1]).astype(np.int32).ravel()
-
+    gx, gy = frame_gradients(luma)
     votes = vote_table(cfg.cordic)
-    flat = grid_index(gx, gy)
-
-    base = (
-        np.repeat(np.arange(h, dtype=np.int32) // CELL_SIZE, w) * cc
-        + np.tile(np.arange(w, dtype=np.int32) // CELL_SIZE, h)
-    ) * BIN_COUNT
+    flat = grid_index(gx.ravel(), gy.ravel())
+    base = cell_bin_base(w, h)
     # weights are integers well under 2^53, so float64 bincount is exact
     counts = np.bincount(
         base + votes.lo_bin[flat], weights=votes.lo_weight[flat],
@@ -221,8 +215,8 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
 
     stats = RunStats(
         pixels_in=h * w,
-        steps=h * w + w + 2,
-        warmup_steps=w + 2,
+        steps=h * w + warmup_steps(w),
+        warmup_steps=warmup_steps(w),
         cells_out=cr * cc,
         blocks_out=(cr - 1) * (cc - 1),
     )

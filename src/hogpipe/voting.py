@@ -11,7 +11,9 @@ The divide by the 20-degree bin width is a multiply by a pre-quantized
 reciprocal, round(2^24 / 20) = 838861. Twenty-four fractional bits keep the
 worst-case weight error under one MAG ulp against a real-valued voter even
 at the maximum magnitude; the narrower 16-bit reciprocal provably cannot.
-The high weight is rounded to nearest even from the raw product.
+The high weight is rounded to nearest even from the raw product by
+fixq.rne_shift. vote_raw is the one voter: vote() wraps it per pixel,
+VoteTable runs it once over the whole polar table.
 """
 
 from dataclasses import dataclass
@@ -23,14 +25,14 @@ from .cordic import CordicConfig, PolarGradient, polar_table
 from .fixq import ANG, rne_shift
 
 BIN_COUNT = 9
-BIN_WIDTH_DEG = 20
 
 _RAW_CENTER0 = 10 * ANG.scale  # first bin center
 _RAW_SPAN = 180 * ANG.scale
 # round(2^24 / 20): reciprocal of the bin width at 24 fractional bits
 _RECIP_WIDTH = 838861
-# u * _RECIP_WIDTH carries the bin fraction at 13 + 24 fractional bits
+# angle offset * _RECIP_WIDTH carries the bin fraction at 13 + 24 frac bits
 _FRAC_BITS = ANG.frac_bits + 24
+_FRAC_MASK = (1 << _FRAC_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -43,33 +45,20 @@ class BinVote:
     col: int
 
 
+def vote_raw(mag, ang):
+    """Split MAG raw magnitudes at ANG raw angles between the two nearest
+    bins; Python ints or int64 arrays in, (lo_bin, hi_bin, lo_weight,
+    hi_weight) of the same kind out."""
+    t = ((ang - _RAW_CENTER0) % _RAW_SPAN) * _RECIP_WIDTH
+    lo = t >> _FRAC_BITS
+    hi_w = rne_shift(mag * (t & _FRAC_MASK), _FRAC_BITS)
+    return lo, (lo + 1) % BIN_COUNT, mag - hi_w, hi_w
+
+
 def vote(p: PolarGradient) -> BinVote:
     """Split one polar gradient's magnitude between its two nearest bins."""
-    u = (p.orientation - _RAW_CENTER0) % _RAW_SPAN
-    t = u * _RECIP_WIDTH
-    lo = t >> _FRAC_BITS
-    frac = t & ((1 << _FRAC_BITS) - 1)
-    hi_w = rne_shift(p.magnitude * frac, _FRAC_BITS)
-    lo_w = p.magnitude - hi_w
-    return BinVote(lo, (lo + 1) % BIN_COUNT, lo_w, hi_w, p.row, p.col)
-
-
-def vote_arrays(
-    mag_raw: np.ndarray, ang_raw: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized voter, integer-identical to vote(). Returns
-    (lo_bin, hi_bin, lo_weight, hi_weight) arrays."""
-    u = (ang_raw - _RAW_CENTER0) % _RAW_SPAN
-    t = u * np.int64(_RECIP_WIDTH)
-    lo = t >> _FRAC_BITS
-    frac = t & ((np.int64(1) << _FRAC_BITS) - 1)
-    prod = mag_raw * frac
-    q = prod >> _FRAC_BITS
-    r = prod & ((np.int64(1) << _FRAC_BITS) - 1)
-    half = np.int64(1) << (_FRAC_BITS - 1)
-    hi_w = q + ((r > half) | ((r == half) & ((q & 1) == 1)))
-    lo_w = mag_raw - hi_w
-    return lo, (lo + 1) % BIN_COUNT, lo_w, hi_w
+    lo, hi, lo_w, hi_w = vote_raw(p.magnitude, p.orientation)
+    return BinVote(lo, hi, lo_w, hi_w, p.row, p.col)
 
 
 class VoteTable:
@@ -83,7 +72,7 @@ class VoteTable:
 
     def __init__(self, cfg: CordicConfig):
         polar = polar_table(cfg)
-        lo, hi, lo_w, hi_w = vote_arrays(polar.mag_raw, polar.ang_raw)
+        lo, hi, lo_w, hi_w = vote_raw(polar.mag_raw, polar.ang_raw)
         self.lo_bin = lo.astype(np.int32)
         self.hi_bin = hi.astype(np.int32)
         self.lo_weight = lo_w.astype(np.float64)

@@ -203,6 +203,14 @@ def test_bench_bad_dimensions_exit_3(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_bench_non_positive_frames_exits_2(frames, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["bench", "--width", "16", "--height", "16", "--frames", frames])
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_detect_outputs_csv(tmp_path, capsys):
     src, _ = pgm(tmp_path, (128, 64), seed=7)
     weights = tmp_path / "model.txt"
@@ -234,6 +242,18 @@ def test_detect_out_file_and_stride(tmp_path):
     lines = out.read_text().strip().splitlines()
     # 10x18 cell grid, stride 2: x in {0,2}, y in {0,2} cells
     assert len(lines) == 1 + 4
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_detect_non_positive_stride_exits_2(tmp_path, stride, capsys):
+    src, _ = pgm(tmp_path, (128, 64), seed=8)
+    weights = tmp_path / "model.txt"
+    save_model(SvmModel(weights=np.ones(3780)), weights)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["detect", "--input", str(src), "--weights", str(weights),
+                  "--stride", stride])
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_detect_truncated_model_exits_4(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hogpipe.detector import (
     load_model,
     save_model,
     score_window,
-    window_positions,
 )
 from hogpipe.errors import CountMismatch, FormatError, OutOfBoundsError
 
@@ -46,10 +45,17 @@ def test_model_validates_weight_count():
 
 
 def test_window_position_arithmetic():
-    assert window_positions(80, 60) == 73 * 45 == 3285
-    assert window_positions(8, 16) == 1
-    assert window_positions(7, 16) == 0
-    assert window_positions(80, 60, stride_cells=2) == 37 * 23
+    # a threshold of -inf keeps every window detect() scores
+    model = SvmModel(weights=np.zeros(N_FEATURES), threshold=-math.inf)
+
+    def windows(cell_cols, cell_rows, stride=1):
+        blocks = np.zeros((cell_rows - 1, cell_cols - 1, 36))
+        return len(detect(frame_of(blocks), model, stride))
+
+    assert windows(80, 60) == 73 * 45 == 3285
+    assert windows(8, 16) == 1
+    assert windows(7, 16) == 0
+    assert windows(80, 60, stride=2) == 37 * 23
 
 
 def test_zero_weights_score_is_bias():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -137,15 +138,33 @@ def test_quantize_is_identity_on_representable(raw, mode):
     assert v.raw == raw and not v.saturated
 
 
-@given(st.integers(min_value=-(2**40), max_value=2**40), st.integers(0, 20))
-def test_rne_shift_matches_rational_rounding(x, s):
-    got = rne_shift(x, s)
+def rational_rne(x: int, s: int) -> int:
+    """x / 2**s rounded half to even on the exact rational."""
     exact = Fraction(x, 1 << s)
     lo = math.floor(exact)
-    # round half to even on the exact rational
     frac = exact - lo
     if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and lo % 2 == 1):
-        expect = lo + 1
-    else:
-        expect = lo
-    assert got == expect
+        return lo + 1
+    return lo
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 40)),
+        min_size=1, max_size=16,
+    )
+)
+def test_rne_shift_matches_rational_rounding(pairs):
+    expect = {(x, s): rational_rne(x, s) for x, s in pairs}
+    for x, s in pairs:
+        got = rne_shift(x, s)
+        assert type(got) is int and got == expect[x, s]
+    # the same cases as one int64 array with a per-element (positive) shift
+    pos = [(x, s) for x, s in pairs if s > 0]
+    if pos:
+        got = rne_shift(
+            np.array([x for x, _ in pos], dtype=np.int64),
+            np.array([s for _, s in pos], dtype=np.int64),
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == [expect[p] for p in pos]

@@ -6,11 +6,13 @@ corrupted variant must end in a documented exit code (0 ok, 2 format,
 3 dimension, 4 mismatch); exit 1 cannot occur because every file exists.
 No subcommand reads HOGF files, so those go straight to read_features,
 which may only return or raise FormatError, the exception that cli.main
-maps to exit 2.
+maps to exit 2. Headers that random cuts and flips rarely reach (huge
+declared sizes, odd whitespace) are listed as explicit cases.
 """
 
 import contextlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hogpipe import cli
 from hogpipe.detector import SvmModel, save_model
 from hogpipe.errors import FormatError
-from hogpipe.ingest import write_pgm
+from hogpipe.ingest import decode_image, write_pgm
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
 
@@ -129,3 +131,39 @@ def test_model_byte_flips(files, flips, near_end):
         # aim half the cases at the trailers, where bias and threshold live
         flips = [(len(blob) - 1 - pos % 40, mask) for pos, mask in flips]
     assert detect_exit(files, flipped(blob, flips)) in DOCUMENTED_EXITS
+
+
+PIXELS_24X16 = bytes(range(256)) + bytes(128)
+
+
+@pytest.mark.parametrize(
+    "header, payload, want",
+    [
+        # huge declared dimensions over a short payload: rejected before
+        # anything of the declared size is allocated
+        (b"P5 100000 100000 255\n", PIXELS_24X16, 2),
+        (b"P6 100000 100000 255\n", PIXELS_24X16, 2),
+        (b"P5\t24\t16\t255\t", PIXELS_24X16, 0),
+        (b"P5\n# written by hand\n24 # width\n16\n255\n", PIXELS_24X16, 0),
+        (b"P5 24#width\n16 255\n", PIXELS_24X16, 0),
+        # one whitespace byte ends the header, so after `\r\n` the `\n`
+        # is the first pixel and a full payload runs one byte over
+        (b"P5 24 16 255\r\n", PIXELS_24X16, 2),
+        (b"P5 24 16 255\r\n", PIXELS_24X16[:-1], 0),
+    ],
+)
+def test_pgm_header_edge_cases(files, header, payload, want):
+    assert extract_exit(files, header + payload) == want
+    if want == 0:
+        frame = decode_image(files / "case.pgm")
+        assert (frame.width, frame.height) == (24, 16)
+        assert frame.data == (header + payload)[-384:]
+
+
+@pytest.mark.parametrize("view", [cli.VIEW_CELL_RAW, cli.VIEW_BLOCK_NORM])
+def test_hogf_huge_grid_is_rejected(files, view):
+    top = 2**32 - 1
+    blob = struct.pack("<4sHHIII", b"HOGF", 1, view, top, top, 9) + bytes(64)
+    (files / "case.hogf").write_bytes(blob)
+    with pytest.raises(FormatError):
+        cli.read_features(files / "case.hogf")

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hogpipe.errors import DimensionError
-from hogpipe.gradient import GradientStage
+from hogpipe.gradient import GradientStage, warmup_steps
 from oracles import ref_gradients
 
 
@@ -58,10 +58,8 @@ def test_5x5_random_matches_reference():
 
 
 def test_latency_and_first_emission_index():
-    stage = GradientStage(640, 480)
-    assert stage.latency_pixels() == 642
-    stage3 = GradientStage(3, 3)
-    assert stage3.latency_pixels() == 5
+    assert warmup_steps(640) == 642
+    assert warmup_steps(3) == 5
     luma = np.arange(9, dtype=np.uint8).reshape(3, 3)
     stage = GradientStage(3, 3)
     first = None
@@ -86,7 +84,7 @@ def test_one_emission_per_step_after_warmup():
     luma = np.zeros(w * h, dtype=np.uint8)
     for i, v in enumerate(luma):
         g = stage.push_pixel(int(v))
-        assert (g is None) == (i < stage.latency_pixels())
+        assert (g is None) == (i < warmup_steps(w))
 
 
 def test_buffer_holds_at_most_two_rows_plus_window():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cordic import CordicConfig, PolarGradient, polar_raw_arrays
+from hogpipe.cordic import CordicConfig, PolarGradient, polar_raw_arrays, polar_table
 from hogpipe.fixq import ANG, MAG, quantize
-from hogpipe.voting import BIN_COUNT, BinVote, vote, vote_arrays
+from hogpipe.voting import BIN_COUNT, BinVote, vote, vote_table
 from oracles import ref_vote
 
 
@@ -85,12 +85,13 @@ def test_locality_weight_goes_to_bins_within_twenty_degrees(ang_raw, mag_raw):
 
 
 def test_exhaustive_grid_agrees_with_real_voter_within_one_ulp():
-    # every gradient pair the pipeline can ever produce
-    side = np.arange(-255, 256, dtype=np.int64)
-    gx = np.repeat(side, 511)
-    gy = np.tile(side, 511)
-    mag, ang, _ = polar_raw_arrays(gx, gy, CordicConfig())
-    lo, hi, lo_w, hi_w = vote_arrays(mag, ang)
+    # the table the fast path gathers from: every gradient pair the
+    # pipeline can ever produce
+    polar = polar_table(CordicConfig())
+    mag, ang = polar.mag_raw, polar.ang_raw
+    table = vote_table(CordicConfig())
+    lo, hi = table.lo_bin, table.hi_bin
+    lo_w, hi_w = table.lo_weight, table.hi_weight
     assert (lo_w + hi_w == mag).all()
     assert ((lo >= 0) & (lo < 9)).all()
     assert (hi == (lo + 1) % 9).all()
