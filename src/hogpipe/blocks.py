@@ -30,6 +30,11 @@ BLOCK_EPSILON = 1e-3
 BLOCK_VALUES = 36
 
 
+def block_count(cell_cols: int, cell_rows: int) -> int:
+    """Overlapping 2x2 blocks in a cell_cols x cell_rows cell grid."""
+    return (cell_cols - 1) * (cell_rows - 1)
+
+
 @dataclass(frozen=True)
 class BlockDescriptor:
     values: np.ndarray  # 36 float64, L2-normalized

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detector
-from .blocks import BLOCK_VALUES
+from .blocks import BLOCK_VALUES, block_count
 from .cells import cells_per_frame
 from .errors import (
     CountMismatch,
@@ -67,7 +67,7 @@ def feature_count(view: int, width_cells: int, height_cells: int) -> int:
     if view == VIEW_BLOCK_NORM:
         if width_cells < 2 or height_cells < 2:
             raise FormatError(f"block view needs at least 2x2 cells, got {grid}")
-        return (width_cells - 1) * (height_cells - 1) * BLOCK_VALUES
+        return block_count(width_cells, height_cells) * BLOCK_VALUES
     raise FormatError(f"unknown view {view}")
 
 
@@ -123,7 +123,7 @@ def cmd_extract(args) -> int:
             [
                 ("pixels_in", cfg.width * cfg.height),
                 ("cells_out", wc * hc),
-                ("blocks_out", (wc - 1) * (hc - 1)),
+                ("blocks_out", block_count(wc, hc)),
             ]
         )
     else:

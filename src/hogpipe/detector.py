@@ -3,8 +3,19 @@
 The detection window is 64x128 pixels: 8x16 cells, so 7x15 overlapping
 blocks and 7*15*36 = 3780 features. A window's feature vector reads its
 block region row-major with the 36 descriptor values innermost, matching
-the layout of HogFrame.blocks, and the score is a plain dot product plus
-bias. Windows slide on the cell grid; no non-maximum suppression.
+the layout of HogFrame.blocks, and its score is that vector's dot product
+with the weights plus bias. Windows slide on the cell grid; no
+non-maximum suppression.
+
+score_window computes one window's dot product directly and is the
+oracle. detect scores every window at once from the fact that a window's
+score is a sum over its 15x7 blocks of block . W[by, bx]: one matrix
+product gives every block's dot product with each of the 105 per-block
+weight vectors, and 105 shifted slice-adds of those products build the
+whole score grid. Identical windows therefore get bit-identical scores,
+but the summation order differs from score_window's, so the two agree
+to about 1e-14 relative rather than exactly, and a window whose score
+lies within a few ulp of the threshold may pass in one and not the other.
 """
 
 import math
@@ -12,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK_VALUES
+from .blocks import BLOCK_VALUES, block_count
 from .cells import CELL_SIZE
 from .errors import CountMismatch, FormatError, OutOfBoundsError
 
@@ -25,7 +36,7 @@ _VERSION = "v1"
 
 @dataclass(frozen=True)
 class SvmModel:
-    weights: np.ndarray  # float64, (cols-1)*(rows-1)*36 entries
+    weights: np.ndarray  # float64, feature_count entries
     bias: float = 0.0
     threshold: float = 0.0
     window_cell_cols: int = WINDOW_CELL_COLS
@@ -43,11 +54,7 @@ class SvmModel:
 
     @property
     def feature_count(self) -> int:
-        return (
-            (self.window_cell_cols - 1)
-            * (self.window_cell_rows - 1)
-            * BLOCK_VALUES
-        )
+        return block_count(self.window_cell_cols, self.window_cell_rows) * BLOCK_VALUES
 
 
 @dataclass(frozen=True)
@@ -78,15 +85,36 @@ def detect(frame, model: SvmModel, stride_cells: int = 1) -> list[Detection]:
     if stride_cells < 1:
         raise ValueError("stride must be at least one cell")
     blocks = frame.blocks
-    cell_rows, cell_cols = blocks.shape[0] + 1, blocks.shape[1] + 1
-    out = []
-    for cy in range(0, cell_rows - model.window_cell_rows + 1, stride_cells):
-        for cx in range(0, cell_cols - model.window_cell_cols + 1, stride_cells):
-            s = score_window(frame, cx, cy, model)
-            if s > model.threshold:
-                out.append(Detection(cx * CELL_SIZE, cy * CELL_SIZE, s))
-    out.sort(key=lambda d: (-d.score, d.y, d.x))
-    return out
+    rows, cols = blocks.shape[:2]
+    bw = model.window_cell_cols - 1
+    bh = model.window_cell_rows - 1
+    ny, nx = rows - bh + 1, cols - bw + 1
+    if ny < 1 or nx < 1:
+        return []
+    # per[by, bx, r, c]: block (r, c) dotted with the window's weights for
+    # its block (by, bx); the window at (y, x) sums per[by, bx, y + by, x + bx]
+    per = model.weights.reshape(bh * bw, BLOCK_VALUES) @ blocks.reshape(
+        rows * cols, BLOCK_VALUES
+    ).T
+    per = per.reshape(bh, bw, rows, cols)
+    scores = np.zeros((ny, nx))
+    for by in range(bh):
+        for bx in range(bw):
+            scores += per[by, bx, by : by + ny, bx : bx + nx]
+    scores = scores[::stride_cells, ::stride_cells] + model.bias
+    ys, xs = np.nonzero(scores > model.threshold)
+    hit_scores = scores[ys, xs]
+    # nonzero is row-major, so a stable sort keeps (y, x) among equal scores
+    order = np.argsort(-hit_scores, kind="stable")
+    step = stride_cells * CELL_SIZE
+    return [
+        Detection(x, y, s)
+        for x, y, s in zip(
+            (xs[order] * step).tolist(),
+            (ys[order] * step).tolist(),
+            hit_scores[order].tolist(),
+        )
+    ]
 
 
 def save_model(model: SvmModel, path) -> None:

@@ -111,7 +111,3 @@ def quantize(x: float, fmt: QFormat, mode: Rounding = Rounding.NEAREST_EVEN) -> 
         raw = round(scaled)
     raw, sat = fmt.clamp(raw)
     return QValue(fmt, raw, sat)
-
-
-def dequantize(v: QValue) -> float:
-    return v.raw / v.format.scale

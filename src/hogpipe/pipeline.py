@@ -26,6 +26,7 @@ from .blocks import (
     BLOCK_VALUES,
     BlockAssembler,
     HogFrame,
+    block_count,
     normalize_grid,
 )
 from .cells import CellAccumulator, cell_bin_base, cells_per_frame
@@ -218,6 +219,6 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
         steps=h * w + warmup_steps(w),
         warmup_steps=warmup_steps(w),
         cells_out=cr * cc,
-        blocks_out=(cr - 1) * (cc - 1),
+        blocks_out=block_count(cc, cr),
     )
     return HogFrame(cells=cells, blocks=blocks), stats

@@ -8,6 +8,7 @@ from hogpipe.blocks import (
     BLOCK_EPSILON,
     BLOCK_VALUES,
     BlockAssembler,
+    block_count,
     normalize_block,
 )
 from hogpipe.cells import CellHistogram
@@ -124,7 +125,7 @@ def test_block_count_for_full_frame_grid():
     rng = np.random.default_rng(3)
     grid = rng.integers(0, 1 << 16, size=(60, 80, 9))
     blocks = list(stream_blocks(row_major_cells(grid), 80))
-    assert len(blocks) == 79 * 59 == 4661
+    assert len(blocks) == block_count(80, 60) == 79 * 59 == 4661
     assert sum(b.values.size for b in blocks) == 4661 * 36 == 167796
     assert [(b.block_row, b.block_col) for b in blocks[:3]] == [
         (0, 0), (0, 1), (0, 2)

@@ -13,6 +13,8 @@ from hogpipe.detector import (
     score_window,
 )
 from hogpipe.errors import CountMismatch, FormatError, OutOfBoundsError
+from hogpipe.pipeline import PipelineConfig, run_frame_fast
+from hogpipe.textures import make_corpus
 
 N_FEATURES = 3780
 
@@ -36,6 +38,106 @@ def naive_score(blocks, cx, cy, model):
                 w = model.weights[(by * bw + bx) * 36 + k]
                 terms.append(float(blocks[cy + by, cx + bx, k]) * float(w))
     return math.fsum(terms) + model.bias
+
+
+def loop_detect(frame, model, stride_cells=1):
+    """The oracle for detect(): score_window at every window position in a
+    Python loop, the above-threshold ones best first, (y, x) breaking ties."""
+    blocks = frame.blocks
+    cell_rows, cell_cols = blocks.shape[0] + 1, blocks.shape[1] + 1
+    out = []
+    for cy in range(0, cell_rows - model.window_cell_rows + 1, stride_cells):
+        for cx in range(0, cell_cols - model.window_cell_cols + 1, stride_cells):
+            s = score_window(frame, cx, cy, model)
+            if s > model.threshold:
+                out.append(Detection(cx * 8, cy * 8, s))
+    out.sort(key=lambda d: (-d.score, d.y, d.x))
+    return out
+
+
+def near(a, b):
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def assert_detect_matches_loop(frame, weights, bias, stride):
+    """detect() against loop_detect() at -inf, +inf, the 0.9 quantile of the
+    scores, one of the oracle's scores and one of detect()'s own scores.
+    Scores agree to 1e-9; the hit sets agree except for windows whose
+    oracle score is within 1e-9 of the threshold."""
+    every = SvmModel(weights=weights, bias=bias, threshold=-math.inf)
+    want_all = {(d.x, d.y): d.score for d in loop_detect(frame, every, stride)}
+    got_all = detect(frame, every, stride)
+    picks = [math.inf]
+    if want_all:
+        scores = sorted(want_all.values())
+        picks += [
+            float(np.quantile(scores, 0.9)),
+            scores[len(scores) // 3],
+            got_all[len(got_all) // 2].score,
+        ]
+    for threshold in [-math.inf, *picks]:
+        model = SvmModel(weights=weights, bias=bias, threshold=threshold)
+        hits = detect(frame, model, stride)
+        keys = [(-d.score, d.y, d.x) for d in hits]
+        assert keys == sorted(keys)
+        assert all(d.score > threshold for d in hits)
+        for d in hits:
+            assert near(d.score, want_all[(d.x, d.y)])
+        want = {(d.x, d.y) for d in loop_detect(frame, model, stride)}
+        got = {(d.x, d.y) for d in hits}
+        assert len(got) == len(hits)
+        edge = {xy for xy, s in want_all.items() if near(s, threshold)}
+        assert got - edge == want - edge
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize(
+    "block_rows,block_cols",
+    [(15, 7), (14, 7), (15, 6), (16, 9), (17, 11), (23, 8), (59, 79)],
+)
+def test_detect_matches_loop_oracle_on_random_blocks(block_rows, block_cols, stride):
+    # window-sized, one cell short in each direction, odd sizes, VGA
+    rng = np.random.default_rng([block_rows, block_cols, stride])
+    blocks = rng.random((block_rows, block_cols, 36))
+    assert_detect_matches_loop(
+        frame_of(blocks), rng.normal(size=N_FEATURES), float(rng.normal()), stride
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_detect_matches_loop_oracle_on_corpus_frames(stride):
+    cfg = PipelineConfig(width=200, height=168)
+    rng = np.random.default_rng(stride)
+    for _, luma in make_corpus(11, cfg.width, cfg.height, seed=1)[::2]:
+        hog, _ = run_frame_fast(luma, cfg)
+        assert_detect_matches_loop(hog, rng.normal(size=N_FEATURES), 0.25, stride)
+
+
+def test_plateau_windows_pass_or_fail_together():
+    # rows repeat with period 2 and columns with period 3, so each window
+    # is identical to every window 2k cells below and 3k cells right of it
+    rng = np.random.default_rng(8)
+    blocks = np.tile(rng.random((2, 3, 36)), (12, 10, 1))
+    frame = frame_of(blocks)
+    weights = rng.normal(size=N_FEATURES)
+    every = detect(frame, SvmModel(weights=weights, threshold=-math.inf))
+    plateaus = {}
+    for d in every:
+        plateaus.setdefault(((d.y // 8) % 2, (d.x // 8) % 3), []).append(d)
+    assert len(plateaus) == 6
+    for members in plateaus.values():
+        assert len({d.score for d in members}) == 1  # bit-identical
+        ours = members[0].score
+        oracle = score_window(frame, members[0].x // 8, members[0].y // 8,
+                              SvmModel(weights=weights))
+        plateau = {(d.x, d.y) for d in members}
+        for threshold in [ours, oracle, np.nextafter(ours, -math.inf)]:
+            hits = detect(frame, SvmModel(weights=weights, threshold=threshold))
+            got = plateau & {(d.x, d.y) for d in hits}
+            assert got in (set(), plateau)
+            assert (got == plateau) == (ours > threshold)
+            tied = [(d.y, d.x) for d in hits if d.score == ours]
+            assert tied == sorted(tied)
 
 
 def test_model_validates_weight_count():

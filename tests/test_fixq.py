@@ -13,7 +13,6 @@ from hogpipe.fixq import (
     QFormat,
     QValue,
     Rounding,
-    dequantize,
     quantize,
     rne_shift,
 )
@@ -59,8 +58,8 @@ def test_quantize_saturates_and_flags():
 
 
 def test_dequantize_roundtrip_exact_points():
-    assert dequantize(QValue(MAG, 320)) == 5.0
-    assert dequantize(QValue(ANG, 435241)) == pytest.approx(53.13, abs=2**-13)
+    assert QValue(MAG, 320).value == 5.0
+    assert QValue(ANG, 435241).value == pytest.approx(53.13, abs=2**-13)
 
 
 def test_rne_shift_half_even():
@@ -118,14 +117,14 @@ def test_ops_equal_exact_rational_then_quantize(fmt_a):
                 assert got.saturated == want_sat
                 shifted, sat = fmt_a.clamp(rne_shift(raw, frac_bits - fmt_a.frac_bits))
                 assert Fraction(shifted, fmt_a.scale) == want and sat == want_sat
-            assert dequantize(a) + dequantize(b) == float(Fraction(ra + rb, fmt_a.scale))
+            assert a.value + b.value == float(Fraction(ra + rb, fmt_a.scale))
 
 
 @given(st.floats(min_value=0.0, max_value=180.0, allow_nan=False))
 def test_quantize_roundtrip_within_half_ulp(x):
     v = quantize(x, ANG)
     assert not v.saturated
-    assert abs(dequantize(v) - x) <= 0.5 / ANG.scale + 1e-12
+    assert abs(v.value - x) <= 0.5 / ANG.scale + 1e-12
 
 
 @given(
