@@ -7,10 +7,10 @@ blocks at stride one, epsilon inside the square root) in plain float64,
 so a diff against it isolates quantization error. Gradients, cell index
 and block layout come from the owners the fixed path also calls.
 
-Accumulation uses exactly-rounded sums (math.fsum) for cell bins and for
-block denominators. fsum is order-independent, which makes the vectorized
-grouping here bit-identical to a naive per-pixel loop over the same
-frame.
+Cell bins sum each vote weight's coarse and fine limbs with bincounts,
+which is exact, then add the two limb totals once, rounding as math.fsum
+would; block denominators use fsum. Both are order-independent, so the
+vectorized reduction is bit-identical to a naive per-pixel loop.
 """
 
 import math
@@ -22,7 +22,7 @@ from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
 from .cells import cell_bin_base, cells_per_frame
 from .errors import ShapeMismatch
 from .fixq import MAG
-from .gradient import frame_gradients
+from .gradient import frame_gradients, luma8
 from .voting import BIN_COUNT
 
 
@@ -70,46 +70,47 @@ def golden_polar(
     return mag, ang
 
 
-def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
-    luma = np.asarray(luma)
-    h, w = luma.shape
-    cc, cr = cells_per_frame(w, h)
+# Vote weights are below 2**9 on a 2**-61 grid (tested for every gradient pair)
+# and a bin gets at most 64, so for LIMB_BITS in 14..38 both limb totals are
+# exact in any order and one add rounds their sum once, as math.fsum does.
+LIMB_BITS = 26
 
-    gx, gy = frame_gradients(luma)
+
+def exact_bincount(pairs, n: int) -> np.ndarray:
+    """Per-key totals of (keys, weights) pairs, rounded once from the exact sum."""
+    coarse = fine = 0.0
+    for keys, weights in pairs:
+        top = np.floor(weights * 2.0**LIMB_BITS) / 2.0**LIMB_BITS
+        coarse = coarse + np.bincount(keys, weights=top, minlength=n)
+        fine = fine + np.bincount(keys, weights=weights - top, minlength=n)
+    return coarse + fine
+
+
+def golden_votes(gx: np.ndarray, gy: np.ndarray):
+    """Real-valued center-interpolated votes: (lo_bin, lo_w), (hi_bin, hi_w)."""
     mag, ang = golden_polar(gx, gy)
-
-    # real-valued center-interpolated votes
     t = ((ang - 10.0) % 180.0) / 20.0
     t_floor = np.floor(t)
     hi_w = mag * (t - t_floor)
     lo_w = mag - hi_w
     lo_bin = t_floor.astype(np.int64) % BIN_COUNT
     hi_bin = (lo_bin + 1) % BIN_COUNT
+    return (lo_bin, lo_w), (hi_bin, hi_w)
 
-    # group votes by (cell, bin) and reduce each group with fsum so the
-    # result does not depend on traversal order
+
+def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
+    luma = luma8(luma)
+    h, w = luma.shape
+    cc, cr = cells_per_frame(w, h)
+
     base = cell_bin_base(w, h)
-    keys = np.concatenate([base + lo_bin.ravel(), base + hi_bin.ravel()])
-    weights = np.concatenate([lo_w.ravel(), hi_w.ravel()])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    weights = weights[order]
-    bounds = np.searchsorted(keys, np.arange(cr * cc * BIN_COUNT + 1))
-
-    cells = np.empty(cr * cc * BIN_COUNT, dtype=np.float64)
-    wl = weights.tolist()
-    for k in range(cells.size):
-        cells[k] = math.fsum(wl[bounds[k] : bounds[k + 1]])
-    cells = cells.reshape(cr, cc, BIN_COUNT)
-
+    gx, gy = frame_gradients(luma)
+    votes = [(base + b, v) for b, v in golden_votes(gx.ravel(), gy.ravel())]
+    cells = exact_bincount(votes, cr * cc * BIN_COUNT).reshape(cr, cc, BIN_COUNT)
     quads = block_quads(cells)
-    blocks = np.empty_like(quads)
-    eps_sq = epsilon * epsilon
-    for i in range(quads.shape[0]):
-        for j in range(quads.shape[1]):
-            v = quads[i, j]
-            denom = math.sqrt(math.fsum((v * v).tolist()) + eps_sq)
-            blocks[i, j] = v / denom
+    sq_rows = np.square(quads).reshape(-1, BLOCK_VALUES).tolist()
+    denom = np.sqrt(np.array(list(map(math.fsum, sq_rows))) + epsilon * epsilon)
+    blocks = quads / denom.reshape(quads.shape[:2] + (1,))
     return GoldenHog(cells=cells, blocks=blocks)
 
 

@@ -23,12 +23,23 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, LayoutError
 
 
 def warmup_steps(width: int) -> int:
     """Steps before the first emission: one row plus two pixels."""
     return width + 2
+
+
+def luma8(luma) -> np.ndarray:
+    """The frame as an array, if uint8 (not scanned) or integers in 0..255;
+    else LayoutError. Every gradient then lies within +-255."""
+    luma = np.asarray(luma)
+    if luma.dtype != np.uint8 and not (
+        luma.dtype.kind in "iu" and (luma.size == 0 or 0 <= luma.min() <= luma.max() <= 255)
+    ):
+        raise LayoutError(f"luma must hold 8-bit values 0..255, got {luma.dtype}")
+    return luma
 
 
 def frame_gradients(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

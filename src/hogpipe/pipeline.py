@@ -32,7 +32,7 @@ from .blocks import (
 from .cells import CellAccumulator, cell_bin_base, cells_per_frame
 from .cordic import CordicConfig, PolarGradient, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
-from .gradient import GradientStage, frame_gradients, warmup_steps
+from .gradient import GradientStage, frame_gradients, luma8, warmup_steps
 from .voting import BIN_COUNT, vote, vote_table
 
 
@@ -168,8 +168,7 @@ class StreamingPipeline:
 
 
 def _as_luma(frame, cfg: PipelineConfig) -> np.ndarray:
-    luma = getattr(frame, "luma", frame)
-    luma = np.asarray(luma)
+    luma = luma8(getattr(frame, "luma", frame))
     if luma.shape != (cfg.height, cfg.width):
         raise DimensionError(
             f"frame is {luma.shape}, config wants {(cfg.height, cfg.width)}"

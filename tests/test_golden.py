@@ -1,9 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hogpipe.cordic import gradient_grid
 from hogpipe.errors import DimensionError, ShapeMismatch
-from hogpipe.golden import DiffReport, GoldenHog, compare, golden_hog
+from hogpipe.golden import (
+    DiffReport,
+    GoldenHog,
+    compare,
+    exact_bincount,
+    golden_hog,
+    golden_votes,
+)
+from hogpipe.textures import blobs, make_corpus, ramp, uniform_noise
 from oracles import ref_hog
 
 
@@ -120,6 +131,48 @@ def test_oracle_agreement_random_small_frames(seed):
     h = 8 * int(rng.integers(1, 4))
     w = 8 * int(rng.integers(1, 4))
     luma = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    g = golden_hog(luma)
+    cells, blocks = ref_hog(luma)
+    assert np.array_equal(g.cells, cells)
+    assert np.array_equal(g.blocks, blocks)
+
+
+def test_vote_weights_fit_the_two_limb_sum():
+    # golden_hog's exact cell sums need every weight below 2**9 and a
+    # whole multiple of 2**-61; check every reachable gradient pair
+    for _, wts in golden_votes(*gradient_grid()):
+        assert np.all(wts >= 0.0)
+        assert np.all(wts < 2.0**9)
+        scaled = wts * 2.0**61
+        assert np.array_equal(scaled, np.floor(scaled))
+
+
+@pytest.mark.parametrize("low, high", [(2.0**8, 2.0**9), (3.66e-3, 2.0**-8)])
+def test_exact_bincount_is_fsum_on_worst_case_bins(low, high):
+    # 64 votes per key, all near the largest weight (coarse limb at its
+    # widest) or all near the smallest nonzero one (fine limb at its
+    # widest); a limb split outside 14..38 bits rounds some of these totals
+    rng = np.random.default_rng(0)
+    weights = rng.uniform(low, high, size=(2000, 64))
+    keys = np.repeat(np.arange(2000), 32)
+    got = exact_bincount(
+        [(keys, weights[:, :32].ravel()), (keys, weights[:, 32:].ravel())], 2000
+    )
+    want = [math.fsum(row) for row in weights.tolist()]
+    assert np.array_equal(got, want)
+
+
+# six corpus textures plus the ramp, noise and blob generators at 160x128,
+# large enough that cell bins hold their full 64 pixels' votes
+FRAMES = [make_corpus(11, 160, 128, seed=7)[i] for i in (2, 4, 6, 8, 9, 10)] + [
+    ("ramp", ramp(160, 128, slope=3)),
+    ("noise", uniform_noise(160, 128, seed=5)),
+    ("blobs", blobs(160, 128, seed=5)),
+]
+
+
+@pytest.mark.parametrize("luma", [f[1] for f in FRAMES], ids=[f[0] for f in FRAMES])
+def test_matches_naive_oracle_exactly_on_corpus_and_textures(luma):
     g = golden_hog(luma)
     cells, blocks = ref_hog(luma)
     assert np.array_equal(g.cells, cells)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hogpipe.cordic import CordicConfig
-from hogpipe.errors import DimensionError, TapNotEnabled
+from hogpipe.errors import DimensionError, LayoutError, TapNotEnabled
+from hogpipe.golden import golden_hog
 from hogpipe.pipeline import (
     PipelineConfig,
     RunStats,
@@ -36,6 +37,36 @@ def test_frame_must_match_config():
     luma = rand_frame((16, 16), 0)
     with pytest.raises(DimensionError):
         run_frame(luma, PipelineConfig(width=24, height=16))
+
+
+# every whole-frame entry point, reduced to its cell grid
+ENTRY_POINTS = {
+    "run_frame": lambda luma: run_frame(luma, cfg_for(luma))[0].cells,
+    "run_frame_fast": lambda luma: run_frame_fast(luma, cfg_for(luma))[0].cells,
+    "golden_hog": lambda luma: golden_hog(luma).cells,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda a: np.where(a == a.flat[5], -3, a.astype(np.int64)),
+        lambda a: np.where(a == a.flat[5], 300, a.astype(np.int32)),
+        lambda a: a.astype(np.float64) + 0.5,
+    ],
+    ids=["negative", "over-255", "float"],
+)
+def test_luma_outside_8_bits_is_rejected(entry, bad):
+    luma = bad(rand_frame((16, 16), 4))
+    with pytest.raises(LayoutError):
+        entry(luma)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_wide_integer_luma_within_8_bits_is_accepted(entry):
+    luma = rand_frame((16, 16), 5)
+    assert np.array_equal(entry(luma), entry(luma.astype(np.int64)))
 
 
 def test_smallest_frame_stats():
