@@ -1,9 +1,10 @@
 """Exhaustive CORDIC error sweep over every reachable gradient pair.
 
 Evaluates the fixed-point polar converter on the whole [-255, 255]^2
-grid and reports worst-case angle and magnitude error against
-double-precision atan2/hypot, plus the error at a few interesting
-inputs. Useful when touching the iteration count or datapath widths.
+grid and reports worst-case angle and magnitude error against the
+golden model's double-precision polar conversion (golden.golden_polar),
+plus the worst angle input. Useful when touching the iteration count or
+datapath widths.
 
 Usage: python scripts/cordic_sweep.py [--iterations 16]
 """
@@ -14,6 +15,7 @@ import numpy as np
 
 from hogpipe.cordic import CordicConfig, gradient_grid, polar_raw_arrays
 from hogpipe.fixq import ANG, MAG
+from hogpipe.golden import golden_polar
 
 
 def main() -> None:
@@ -25,10 +27,7 @@ def main() -> None:
     gx, gy = gradient_grid()
     mag_raw, ang_raw, precise = polar_raw_arrays(gx, gy, cfg)
 
-    true_mag = np.hypot(gx.astype(float), gy.astype(float))
-    true_ang = np.degrees(np.arctan2(gy.astype(float), gx.astype(float)))
-    true_ang = np.where(true_ang < 0, true_ang + 180.0, true_ang)
-    true_ang = np.where(true_ang == 180.0, 0.0, true_ang)
+    true_mag, true_ang = golden_polar(gx, gy)
 
     d = np.abs(ang_raw / ANG.scale - true_ang)
     circ = np.minimum(d, 180.0 - d)

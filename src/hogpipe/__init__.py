@@ -2,7 +2,7 @@
 
 from .blocks import BlockDescriptor, HogFrame, normalize_block
 from .cells import CellHistogram, cells_per_frame
-from .cordic import CordicConfig, PolarGradient, vector_translate
+from .cordic import CordicConfig
 from .detector import Detection, SvmModel, detect, load_model, save_model, score_window
 from .errors import (
     CountMismatch,
@@ -15,11 +15,12 @@ from .errors import (
     ShapeMismatch,
     TapNotEnabled,
 )
-from .fixq import ANG, CELL_ACC, GRAD, MAG, QFormat, QValue, Rounding
+from .fixq import ANG, CELL_ACC, GRAD, MAG, QFormat, QValue
 from .golden import DiffReport, GoldenHog, compare, golden_hog
 from .ingest import GrayFrame, decode_image, load_luma
 from .pipeline import (
     PipelineConfig,
+    PolarGradient,
     RunStats,
     StreamingPipeline,
     Tap,
@@ -51,7 +52,6 @@ __all__ = [
     "PolarGradient",
     "QFormat",
     "QValue",
-    "Rounding",
     "RunStats",
     "ShapeMismatch",
     "StreamingPipeline",
@@ -70,5 +70,4 @@ __all__ = [
     "run_frame_fast",
     "save_model",
     "score_window",
-    "vector_translate",
 ]

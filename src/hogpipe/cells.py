@@ -1,11 +1,13 @@
 """Streaming 8x8 cell histogram accumulation.
 
-Votes arrive in pixel row-major order. One partial histogram per cell
-column is enough state for the whole frame: a cell's 64 pixels span eight
-consecutive row segments, so only the cells of the current cell-row are
-ever partially filled. When the vote for a cell's last pixel (local
-position (7, 7)) arrives, the finished histogram is emitted and that
-partial is zeroed for reuse by the cell below it.
+Votes arrive in pixel row-major order as bare (lo_bin, hi_bin, lo_weight,
+hi_weight) ints; a vote's pixel position is its sequence number, which
+the accumulator counts. One partial histogram per cell column is enough
+state for the whole frame: a cell's 64 pixels span eight consecutive row
+segments, so only the cells of the current cell-row are ever partially
+filled. When the vote for a cell's last pixel (local position (7, 7))
+arrives, the finished histogram is emitted and that partial is zeroed for
+reuse by the cell below it.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow. cell_bin_base is the
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, OrderError
-from .voting import BIN_COUNT, BinVote
+from .errors import DimensionError
+from .voting import BIN_COUNT
 
 CELL_SIZE = 8
 
@@ -57,28 +59,25 @@ class CellAccumulator:
         self.width = width
         # one list of partial bin sums per cell column
         self._partials = [[0] * BIN_COUNT for _ in range(cols)]
-        self._next = 0  # expected pixel sequence number
+        self._next = 0  # sequence number, row-major, of the next vote
 
     @property
     def partial_count(self) -> int:
         return len(self._partials)
 
-    def accumulate(self, v: BinVote) -> CellHistogram | None:
-        """Fold one vote in; returns the finished histogram on a cell's
-        last pixel, else None. Votes must arrive in row-major order."""
-        seq = v.row * self.width + v.col
-        if seq != self._next:
-            raise OrderError(
-                f"vote for ({v.row}, {v.col}) out of order, "
-                f"expected sequence {self._next}"
-            )
+    def accumulate(
+        self, lo_bin: int, hi_bin: int, lo_weight: int, hi_weight: int
+    ) -> CellHistogram | None:
+        """Fold the next pixel's vote in; returns the finished histogram on
+        a cell's last pixel, else None."""
+        r, c = divmod(self._next, self.width)
         self._next += 1
-        col = v.col // CELL_SIZE
+        col = c // CELL_SIZE
         bins = self._partials[col]
-        bins[v.lo_bin] += v.lo_weight
-        bins[v.hi_bin] += v.hi_weight
-        if v.col % CELL_SIZE == CELL_SIZE - 1 and v.row % CELL_SIZE == CELL_SIZE - 1:
+        bins[lo_bin] += lo_weight
+        bins[hi_bin] += hi_weight
+        if c % CELL_SIZE == CELL_SIZE - 1 and r % CELL_SIZE == CELL_SIZE - 1:
             # this vote closes the cell's last 8-pixel row segment
             self._partials[col] = [0] * BIN_COUNT
-            return CellHistogram(tuple(bins), v.row // CELL_SIZE, col)
+            return CellHistogram(tuple(bins), r // CELL_SIZE, col)
         return None

@@ -18,8 +18,9 @@ negative angles gain 180, and 180 itself is 0.
 The scalar and array code paths perform identical integer operations and
 are exhaustively asserted equal (polar_raw is the oracle); both round
 through fixq.rne_shift. A PolarTable memoizes the full 511x511 gradient
-grid at grid_index; the streaming model reads its polar stage from it and
-the vectorized path builds its vote table on it.
+grid at grid_index; the streaming model reads its polar stage from it as
+(magnitude, orientation) raw ints and the vectorized path builds its vote
+table on it.
 """
 
 import math
@@ -29,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fixq import ANG, CELL_ACC, MAG, quantize, rne_shift
-from .gradient import GradientPair
 
 RAW_180 = 180 * ANG.scale
 
@@ -85,14 +85,6 @@ class CordicConfig:
             for i in range(self.iterations):
                 gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
             object.__setattr__(self, "gain_reciprocal", round((1.0 / gain) * 65536))
-
-
-@dataclass(frozen=True)
-class PolarGradient:
-    magnitude: int  # MAG raw (U10.6)
-    orientation: int  # ANG raw (U8.13), degrees in [0, 180)
-    row: int
-    col: int
 
 
 def polar_raw(gx: int, gy: int, cfg: CordicConfig) -> tuple[int, int, float]:
@@ -169,12 +161,6 @@ def polar_raw_arrays(
     precise = np.where(zero, 0.0, comp / np.exp2((shift + 16).astype(np.float64)))
     mag = np.where(zero, 0, rne_shift(comp, shift + 16 - MAG.frac_bits))
     return mag, ang, precise
-
-
-def vector_translate(g: GradientPair, cfg: CordicConfig) -> PolarGradient:
-    """Convert one gradient pair to its polar form at the pipeline widths."""
-    mag, ang, _ = polar_raw(g.gx, g.gy, cfg)
-    return PolarGradient(mag, ang, g.row, g.col)
 
 
 class PolarTable:

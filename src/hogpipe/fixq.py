@@ -2,22 +2,16 @@
 
 A QFormat describes a two's complement register: `int_bits` magnitude bits,
 `frac_bits` fractional bits, plus a sign bit when `signed`. The represented
-value of a raw integer is raw / 2**frac_bits. quantize saturates at the
-format limits instead of wrapping and flags it on the result.
+value of a raw integer is raw / 2**frac_bits. quantize rounds half to
+even and saturates at the format limits instead of wrapping, flagging it
+on the result.
 
 The datapath itself works on raw Python or numpy integers, not QValues,
 and cannot saturate: the polar table build checks once that the largest
 magnitude fits MAG and that a full cell of it fits CELL_ACC.
 """
 
-import math
 from dataclasses import dataclass, field
-from enum import Enum
-
-
-class Rounding(Enum):
-    TRUNCATE = "truncate"
-    NEAREST_EVEN = "nearest-even"
 
 
 @dataclass(frozen=True)
@@ -98,16 +92,11 @@ def rne_shift(x, s):
     return q + inc
 
 
-def quantize(x: float, fmt: QFormat, mode: Rounding = Rounding.NEAREST_EVEN) -> QValue:
+def quantize(x: float, fmt: QFormat) -> QValue:
     """Convert a real value to the nearest representable QValue.
 
-    NEAREST_EVEN uses banker's rounding on x * 2**frac_bits; TRUNCATE floors,
-    matching a hardware shifter. Out-of-range values saturate and flag it.
+    Rounds x * 2**frac_bits half to even. Out-of-range values saturate and
+    flag it.
     """
-    scaled = x * fmt.scale
-    if mode is Rounding.TRUNCATE:
-        raw = math.floor(scaled)
-    else:
-        raw = round(scaled)
-    raw, sat = fmt.clamp(raw)
+    raw, sat = fmt.clamp(round(x * fmt.scale))
     return QValue(fmt, raw, sat)

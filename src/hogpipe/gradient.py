@@ -4,21 +4,23 @@ Models the first hardware stage: pixels arrive one per step in row-major
 order and pass through two row buffers plus a 3x3 window, realized here as
 a single ring holding the last 2*width + 3 pixels (the same storage, one
 array). After a warm-up of one full row plus two pixels the stage emits
-exactly one gradient pair per step; the emitted pair belongs to the pixel
-one row and two columns behind the stream head, so every neighbor it needs
-(including the pixel directly below) is already buffered.
+exactly one (gx, gy) pair of plain ints per step, as a hardware stage hands
+on its two registers; the pair belongs to the pixel one row and two columns
+behind the stream head, so every neighbor it needs (including the pixel
+directly below) is already buffered. Pairs come out in row-major order, so
+a pair's position is its emission count; it carries no coordinate.
 
 Differences are gx = I(r, c+1) - I(r, c-1) and gy = I(r+1, c) - I(r-1, c)
 with coordinates clamped to the frame (replicate-edge border policy). After
 the last pixel of a frame, drain() runs the remaining warm-up's worth of
 steps to flush the tail; a W x H frame yields exactly W*H pairs over
-W*H + latency steps.
+W*H + latency steps. A pixel outside 0..255 is refused with LayoutError,
+as luma8 refuses a whole frame.
 
 warmup_steps is the one latency formula and frame_gradients the one
 whole-frame difference; the vectorized path and the golden model use them.
 """
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -52,14 +54,6 @@ def frame_gradients(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-@dataclass(frozen=True)
-class GradientPair:
-    gx: int
-    gy: int
-    row: int
-    col: int
-
-
 class GradientStage:
     def __init__(self, width: int, height: int):
         if width < 3 or height < 3:
@@ -70,7 +64,7 @@ class GradientStage:
         self._ring = [0] * self._cap
         self._latency = warmup_steps(width)
         self._pushed = 0
-        self._emitted = 0
+        self.emitted = 0  # pairs out so far; the next pair's row-major position
 
     @property
     def buffered_pixels(self) -> int:
@@ -80,31 +74,33 @@ class GradientStage:
     def _at(self, index: int) -> int:
         return self._ring[index % self._cap]
 
-    def _emit(self) -> GradientPair:
+    def _emit(self) -> tuple[int, int]:
         w, h = self.width, self.height
-        m = self._emitted
+        m = self.emitted
         r, c = divmod(m, w)
         left = self._at(m - 1) if c > 0 else self._at(m)
         right = self._at(m + 1) if c < w - 1 else self._at(m)
         up = self._at(m - w) if r > 0 else self._at(m)
         down = self._at(m + w) if r < h - 1 else self._at(m)
-        self._emitted += 1
-        return GradientPair(right - left, down - up, r, c)
+        self.emitted += 1
+        return right - left, down - up
 
-    def push_pixel(self, luma: int) -> Optional[GradientPair]:
-        """One stream step. Returns a pair once warm-up has passed, else None."""
+    def push_pixel(self, luma: int) -> Optional[tuple[int, int]]:
+        """One stream step. Returns (gx, gy) once warm-up has passed, else None."""
+        if not 0 <= luma <= 255:
+            raise LayoutError(f"luma must hold 8-bit values 0..255, got {luma}")
         self._ring[self._pushed % self._cap] = luma
         self._pushed += 1
         if self._pushed > self._latency:
             return self._emit()
         return None
 
-    def drain(self) -> Iterator[GradientPair]:
+    def drain(self) -> Iterator[tuple[int, int]]:
         """Flush steps after the frame's last pixel; one emission per step."""
         total = self.width * self.height
         if self._pushed != total:
             raise DimensionError(
                 f"drain after {self._pushed} pixels, frame has {total}"
             )
-        while self._emitted < total:
+        while self.emitted < total:
             yield self._emit()

@@ -8,6 +8,11 @@ the gradient stage drains its latency tail, each flushed pixel costing
 one further step. pixels_per_step therefore lands just under 1.0: the
 frame's pixel count divided by pixel count plus warm-up.
 
+The per-pixel stages hand each other plain ints, as hardware stages hand
+on registers; a pixel's position is implied by stream order. The
+per-pixel records (GradientPair, PolarGradient, BinVote) are defined here
+and built, with that position, only when a Tap asks for them.
+
 run_frame is the instrumented streaming path; its polar stage reads the
 memoized PolarTable one pixel at a time. run_frame_fast computes the
 identical HogFrame with whole-frame array arithmetic (memoized vote
@@ -30,20 +35,47 @@ from .blocks import (
     normalize_grid,
 )
 from .cells import CellAccumulator, cell_bin_base, cells_per_frame
-from .cordic import CordicConfig, PolarGradient, grid_index, polar_table
+from .cordic import CordicConfig, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
 from .gradient import GradientStage, frame_gradients, luma8, warmup_steps
-from .voting import BIN_COUNT, vote, vote_table
+from .voting import BIN_COUNT, vote_raw, vote_table
 
 
 class Tap(Enum):
-    """Debug capture points, in stage order."""
+    """Debug capture points, in stage order: one record per pixel for the
+    first three, the emitted cells and blocks for the last two."""
 
     GRADIENTS = "gradients"
     POLAR = "polar"
     VOTES = "votes"
     CELLS = "cells"
     BLOCKS = "blocks"
+
+
+@dataclass(frozen=True)
+class GradientPair:
+    gx: int
+    gy: int
+    row: int
+    col: int
+
+
+@dataclass(frozen=True)
+class PolarGradient:
+    magnitude: int  # MAG raw (U10.6)
+    orientation: int  # ANG raw (U8.13), degrees in [0, 180)
+    row: int
+    col: int
+
+
+@dataclass(frozen=True)
+class BinVote:
+    lo_bin: int
+    hi_bin: int
+    lo_weight: int  # MAG raw
+    hi_weight: int  # MAG raw
+    row: int
+    col: int
 
 
 @dataclass(frozen=True)
@@ -77,8 +109,8 @@ class RunStats:
 class StreamingPipeline:
     """Single-frame pipeline instance with step and buffer accounting.
 
-    Call step() once per pixel in row-major order, then finish(). The
-    polar stage is a lookup in the memoized PolarTable, exhaustively equal
+    Call step() once per pixel (an int in 0..255, else LayoutError) in
+    row-major order, then finish(). The polar stage is a lookup in the memoized PolarTable, exhaustively equal
     to the scalar CORDIC core. Peak buffer occupancy is tracked per step
     for the memory-bound check; the table is constant data and
     deliberately not counted.
@@ -113,9 +145,9 @@ class StreamingPipeline:
         return self._captures[tap]
 
     def step(self, luma: int) -> None:
+        g = self._grad.push_pixel(luma)
         self.pixels_in += 1
         self.steps += 1
-        g = self._grad.push_pixel(luma)
         if self._grad.buffered_pixels > self.peak_pixel_buffer:
             self.peak_pixel_buffer = self._grad.buffered_pixels
         if g is not None:
@@ -129,23 +161,25 @@ class StreamingPipeline:
             self._done = True
         return self._result()
 
-    def _advance(self, g) -> None:
+    def _advance(self, g: tuple[int, int]) -> None:
+        gx, gy = g
+        mag, ang = self._polar.lookup(gx, gy)
+        lo, hi, lo_w, hi_w = vote_raw(mag, ang)
         cap = self._captures
-        if cap and Tap.GRADIENTS in cap:
-            cap[Tap.GRADIENTS].append(g)
-        mag, ang = self._polar.lookup(g.gx, g.gy)
-        p = PolarGradient(mag, ang, g.row, g.col)
-        if cap and Tap.POLAR in cap:
-            cap[Tap.POLAR].append(p)
-        v = vote(p)
-        if cap and Tap.VOTES in cap:
-            cap[Tap.VOTES].append(v)
-        h = self._cells.accumulate(v)
+        if cap:
+            r, c = divmod(self._grad.emitted - 1, self.cfg.width)
+            if Tap.GRADIENTS in cap:
+                cap[Tap.GRADIENTS].append(GradientPair(gx, gy, r, c))
+            if Tap.POLAR in cap:
+                cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
+            if Tap.VOTES in cap:
+                cap[Tap.VOTES].append(BinVote(lo, hi, lo_w, hi_w, r, c))
+        h = self._cells.accumulate(lo, hi, lo_w, hi_w)
         if h is None:
             return
         self.cells_out += 1
         self._cell_grid[h.cell_row, h.cell_col] = h.bins
-        if cap and Tap.CELLS in cap:
+        if Tap.CELLS in cap:
             cap[Tap.CELLS].append(h)
         b = self._blocks.add(h)
         if self._blocks.buffered_cells > self.peak_cell_row_buffer:
@@ -153,7 +187,7 @@ class StreamingPipeline:
         if b is not None:
             self.blocks_out += 1
             self._block_grid[b.block_row, b.block_col] = b.values
-            if cap and Tap.BLOCKS in cap:
+            if Tap.BLOCKS in cap:
                 cap[Tap.BLOCKS].append(b)
 
     def _result(self) -> tuple[HogFrame, RunStats]:

@@ -12,16 +12,16 @@ reciprocal, round(2^24 / 20) = 838861. Twenty-four fractional bits keep the
 worst-case weight error under one MAG ulp against a real-valued voter even
 at the maximum magnitude; the narrower 16-bit reciprocal provably cannot.
 The high weight is rounded to nearest even from the raw product by
-fixq.rne_shift. vote_raw is the one voter: vote() wraps it per pixel,
-VoteTable runs it once over the whole polar table.
+fixq.rne_shift. vote_raw is the one voter: the streaming model calls it
+per pixel on Python ints, VoteTable runs it once over the whole polar
+table.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cordic import CordicConfig, PolarGradient, polar_table
+from .cordic import CordicConfig, polar_table
 from .fixq import ANG, rne_shift
 
 BIN_COUNT = 9
@@ -35,16 +35,6 @@ _FRAC_BITS = ANG.frac_bits + 24
 _FRAC_MASK = (1 << _FRAC_BITS) - 1
 
 
-@dataclass(frozen=True)
-class BinVote:
-    lo_bin: int
-    hi_bin: int
-    lo_weight: int  # MAG raw
-    hi_weight: int  # MAG raw
-    row: int
-    col: int
-
-
 def vote_raw(mag, ang):
     """Split MAG raw magnitudes at ANG raw angles between the two nearest
     bins; Python ints or int64 arrays in, (lo_bin, hi_bin, lo_weight,
@@ -53,12 +43,6 @@ def vote_raw(mag, ang):
     lo = t >> _FRAC_BITS
     hi_w = rne_shift(mag * (t & _FRAC_MASK), _FRAC_BITS)
     return lo, (lo + 1) % BIN_COUNT, mag - hi_w, hi_w
-
-
-def vote(p: PolarGradient) -> BinVote:
-    """Split one polar gradient's magnitude between its two nearest bins."""
-    lo, hi, lo_w, hi_w = vote_raw(p.magnitude, p.orientation)
-    return BinVote(lo, hi, lo_w, hi_w, p.row, p.col)
 
 
 class VoteTable:

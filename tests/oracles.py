@@ -120,9 +120,8 @@ def ref_batch_fixed(luma, cordic_cfg):
     """
     from hogpipe.blocks import normalize_block
     from hogpipe.cells import CellHistogram
-    from hogpipe.cordic import vector_translate
-    from hogpipe.gradient import GradientPair
-    from hogpipe.voting import vote
+    from hogpipe.cordic import polar_raw
+    from hogpipe.voting import vote_raw
 
     h, w = luma.shape
     cr, cc = h // 8, w // 8
@@ -133,11 +132,10 @@ def ref_batch_fixed(luma, cordic_cfg):
             left = int(luma[r, clamp(c - 1, 0, w - 1)])
             down = int(luma[clamp(r + 1, 0, h - 1), c])
             up = int(luma[clamp(r - 1, 0, h - 1), c])
-            g = GradientPair(right - left, down - up, r, c)
-            p = vector_translate(g, cordic_cfg)
-            v = vote(p)
-            bins[r // 8, c // 8, v.lo_bin] += v.lo_weight
-            bins[r // 8, c // 8, v.hi_bin] += v.hi_weight
+            mag, ang, _ = polar_raw(right - left, down - up, cordic_cfg)
+            lo, hi, lo_w, hi_w = vote_raw(mag, ang)
+            bins[r // 8, c // 8, lo] += lo_w
+            bins[r // 8, c // 8, hi] += hi_w
     blocks = np.zeros((cr - 1, cc - 1, 36))
     for i in range(cr - 1):
         for j in range(cc - 1):

@@ -7,22 +7,22 @@ from hogpipe.cells import (
     CellHistogram,
     cells_per_frame,
 )
-from hogpipe.cordic import CordicConfig, polar_table, vector_translate
-from hogpipe.errors import DimensionError, OrderError
-from hogpipe.gradient import GradientStage, GradientPair
-from hogpipe.voting import BinVote, vote
+from hogpipe.cordic import CordicConfig, polar_raw, polar_table
+from hogpipe.errors import DimensionError
+from hogpipe.gradient import GradientStage
+from hogpipe.voting import vote_raw
 from oracles import ref_gradients
 
 
-def synth_vote(row, col, lo_bin=0, lo_w=0, hi_w=0):
-    return BinVote(lo_bin, (lo_bin + 1) % 9, lo_w, hi_w, row, col)
+def synth_vote(lo_bin=0, lo_w=0, hi_w=0):
+    return lo_bin, (lo_bin + 1) % 9, lo_w, hi_w
 
 
 def feed_frame(acc, width, height, make_vote):
     out = []
     for r in range(height):
         for c in range(width):
-            h = acc.accumulate(make_vote(r, c))
+            h = acc.accumulate(*make_vote(r, c))
             if h is not None:
                 out.append(h)
     return out
@@ -40,7 +40,7 @@ def test_cells_per_frame():
 
 def test_unit_votes_fill_bin_zero():
     acc = CellAccumulator(8, 8)
-    hists = feed_frame(acc, 8, 8, lambda r, c: synth_vote(r, c, 0, 64, 0))
+    hists = feed_frame(acc, 8, 8, lambda r, c: synth_vote(0, 64, 0))
     assert len(hists) == 1
     h = hists[0]
     assert (h.cell_row, h.cell_col) == (0, 0)
@@ -49,7 +49,7 @@ def test_unit_votes_fill_bin_zero():
 
 def test_zero_votes_emit_zero_histograms_in_order():
     acc = CellAccumulator(16, 16)
-    hists = feed_frame(acc, 16, 16, lambda r, c: synth_vote(r, c))
+    hists = feed_frame(acc, 16, 16, lambda r, c: synth_vote())
     assert [(h.cell_row, h.cell_col) for h in hists] == [
         (0, 0), (0, 1), (1, 0), (1, 1)
     ]
@@ -61,31 +61,16 @@ def test_emission_happens_on_local_seven_seven():
     emitted_at = []
     for r in range(8):
         for c in range(16):
-            if acc.accumulate(synth_vote(r, c)) is not None:
+            if acc.accumulate(*synth_vote()) is not None:
                 emitted_at.append((r, c))
     assert emitted_at == [(7, 7), (7, 15)]
 
 
 def test_votes_split_between_two_bins():
     acc = CellAccumulator(8, 8)
-    hists = feed_frame(acc, 8, 8, lambda r, c: synth_vote(r, c, 8, 40, 24))
+    hists = feed_frame(acc, 8, 8, lambda r, c: synth_vote(8, 40, 24))
     assert hists[0].bins[8] == 40 * 64
     assert hists[0].bins[0] == 24 * 64
-
-
-def test_order_error_on_skipped_pixel():
-    acc = CellAccumulator(8, 8)
-    acc.accumulate(synth_vote(0, 0))
-    with pytest.raises(OrderError):
-        acc.accumulate(synth_vote(0, 2))
-
-
-def test_order_error_on_replay():
-    acc = CellAccumulator(8, 8)
-    acc.accumulate(synth_vote(0, 0))
-    acc.accumulate(synth_vote(0, 1))
-    with pytest.raises(OrderError):
-        acc.accumulate(synth_vote(0, 1))
 
 
 def test_16x16_matches_nested_loop_bucketing():
@@ -102,10 +87,7 @@ def test_16x16_matches_nested_loop_bucketing():
     def step(g):
         if g is None:
             return
-        mag, ang = table.lookup(g.gx, g.gy)
-        from hogpipe.cordic import PolarGradient
-
-        h = acc.accumulate(vote(PolarGradient(mag, ang, g.row, g.col)))
+        h = acc.accumulate(*vote_raw(*table.lookup(*g)))
         if h is not None:
             streamed.append(h)
 
@@ -119,12 +101,10 @@ def test_16x16_matches_nested_loop_bucketing():
     expect = np.zeros((2, 2, 9), dtype=np.int64)
     for r in range(16):
         for c in range(16):
-            p = vector_translate(
-                GradientPair(int(grads[r, c, 0]), int(grads[r, c, 1]), r, c), cfg
-            )
-            v = vote(p)
-            expect[r // 8, c // 8, v.lo_bin] += v.lo_weight
-            expect[r // 8, c // 8, v.hi_bin] += v.hi_weight
+            mag, ang, _ = polar_raw(int(grads[r, c, 0]), int(grads[r, c, 1]), cfg)
+            lo, hi, lo_w, hi_w = vote_raw(mag, ang)
+            expect[r // 8, c // 8, lo] += lo_w
+            expect[r // 8, c // 8, hi] += hi_w
 
     got = np.zeros((2, 2, 9), dtype=np.int64)
     for h in streamed:
@@ -150,7 +130,7 @@ def test_mass_conservation_random_votes(seed, width, height):
             lo_w = int(rng.integers(0, 1000))
             hi_w = int(rng.integers(0, 1000))
             total_in += lo_w + hi_w
-            h = acc.accumulate(synth_vote(r, c, lo_b, lo_w, hi_w))
+            h = acc.accumulate(*synth_vote(lo_b, lo_w, hi_w))
             if h is not None:
                 hists.append(h)
     assert len(hists) == (width // 8) * (height // 8)

@@ -13,10 +13,8 @@ from hogpipe.cordic import (
     polar_raw,
     polar_raw_arrays,
     polar_table,
-    vector_translate,
 )
 from hogpipe.fixq import ANG, CELL_ACC, MAG
-from hogpipe.gradient import GradientPair
 from oracles import ref_polar
 
 
@@ -109,13 +107,6 @@ def test_outputs_stay_in_format_range():
         mag, ang, _ = polar_raw(gx, gy, CFG)
         assert 0 <= mag <= MAG.raw_max
         assert 0 <= ang < 180 * ANG.scale
-
-
-def test_vector_translate_carries_coordinates():
-    p = vector_translate(GradientPair(3, 4, 7, 9), CFG)
-    assert (p.row, p.col) == (7, 9)
-    assert abs(p.magnitude / MAG.scale - 5.0) <= 0.01
-    assert circ_dist_deg(p.orientation / ANG.scale, 53.13) <= 0.01
 
 
 def test_array_core_matches_scalar_on_sample():

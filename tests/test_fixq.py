@@ -12,7 +12,6 @@ from hogpipe.fixq import (
     MAG,
     QFormat,
     QValue,
-    Rounding,
     quantize,
     rne_shift,
 )
@@ -40,11 +39,10 @@ def test_format_validation():
 
 def test_quantize_examples():
     assert quantize(0.0, MAG).raw == 0
-    assert quantize(0.0, GRAD, Rounding.TRUNCATE).raw == 0
+    assert quantize(0.0, GRAD).raw == 0
     assert quantize(1.0, ANG).raw == 8192
     # 53.13 * 8192 = 435240.96, nearest integer 435241
-    assert quantize(53.13, ANG, Rounding.NEAREST_EVEN).raw == 435241
-    assert quantize(53.13, ANG, Rounding.TRUNCATE).raw == 435240
+    assert quantize(53.13, ANG).raw == 435241
 
 
 def test_quantize_saturates_and_flags():
@@ -127,13 +125,10 @@ def test_quantize_roundtrip_within_half_ulp(x):
     assert abs(v.value - x) <= 0.5 / ANG.scale + 1e-12
 
 
-@given(
-    st.integers(min_value=MAG.raw_min, max_value=MAG.raw_max),
-    st.sampled_from([Rounding.TRUNCATE, Rounding.NEAREST_EVEN]),
-)
-def test_quantize_is_identity_on_representable(raw, mode):
+@given(st.integers(min_value=MAG.raw_min, max_value=MAG.raw_max))
+def test_quantize_is_identity_on_representable(raw):
     x = raw / MAG.scale
-    v = quantize(x, MAG, mode)
+    v = quantize(x, MAG)
     assert v.raw == raw and not v.saturated
 
 

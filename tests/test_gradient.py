@@ -25,10 +25,11 @@ def run_stage(luma):
 
 
 def to_array(pairs, shape):
+    # pairs come out row-major, so the emission index is the position
     arr = np.zeros((*shape, 2), dtype=np.int64)
-    for g in pairs:
-        arr[g.row, g.col, 0] = g.gx
-        arr[g.row, g.col, 1] = g.gy
+    for i, (gx, gy) in enumerate(pairs):
+        r, c = divmod(i, shape[1])
+        arr[r, c] = gx, gy
     return arr
 
 
@@ -37,7 +38,7 @@ def test_constant_frame_all_zero():
     pairs, steps = run_stage(luma)
     assert len(pairs) == 20
     assert steps == 20 + 5 + 2
-    assert all(g.gx == 0 and g.gy == 0 for g in pairs)
+    assert all(g == (0, 0) for g in pairs)
 
 
 def test_horizontal_ramp():
@@ -70,11 +71,12 @@ def test_latency_and_first_emission_index():
 
 
 def test_emission_order_and_count():
-    luma = np.zeros((6, 4), dtype=np.uint8)
+    # squares of the pixel index make every pair tell its position apart
+    luma = (np.arange(24, dtype=np.int64) ** 2 % 251).astype(np.uint8).reshape(6, 4)
     pairs, steps = run_stage(luma)
-    assert [(g.row, g.col) for g in pairs] == [
-        (r, c) for r in range(6) for c in range(4)
-    ]
+    ref = ref_gradients(luma)
+    assert pairs == [tuple(ref[r, c].tolist()) for r in range(6) for c in range(4)]
+    assert len(set(pairs)) == 24
     assert steps == 24 + 6
 
 
@@ -122,4 +124,4 @@ def test_streamed_equals_two_loop_reference(luma):
     assert len(pairs) == w * h
     assert np.array_equal(to_array(pairs, (h, w)), ref_gradients(luma))
     # gradients stay inside the 9-bit signed range
-    assert all(-255 <= g.gx <= 255 and -255 <= g.gy <= 255 for g in pairs)
+    assert all(-255 <= gx <= 255 and -255 <= gy <= 255 for gx, gy in pairs)

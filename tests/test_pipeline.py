@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cordic import CordicConfig
+from hogpipe.cordic import CordicConfig, polar_raw
 from hogpipe.errors import DimensionError, LayoutError, TapNotEnabled
 from hogpipe.golden import golden_hog
 from hogpipe.pipeline import (
@@ -13,7 +15,8 @@ from hogpipe.pipeline import (
     run_frame,
     run_frame_fast,
 )
-from oracles import ref_batch_fixed
+from hogpipe.voting import vote_raw
+from oracles import ref_batch_fixed, ref_gradients
 
 
 def rand_frame(shape, seed):
@@ -61,6 +64,19 @@ def test_luma_outside_8_bits_is_rejected(entry, bad):
     luma = bad(rand_frame((16, 16), 4))
     with pytest.raises(LayoutError):
         entry(luma)
+
+
+@pytest.mark.parametrize(
+    "pos, bad", [(255, -300), (0, 256), (100, 256)], ids=["-300-last", "256-first", "256-mid"]
+)
+def test_streaming_port_rejects_pixels_outside_8_bits(pos, bad):
+    pixels = rand_frame((16, 16), 13).ravel().tolist()
+    pixels[pos] = bad
+    pipe = StreamingPipeline(PipelineConfig(width=16, height=16))
+    with pytest.raises(LayoutError):
+        for px in pixels:
+            pipe.step(px)
+    assert pipe.pixels_in == pos
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
@@ -171,6 +187,59 @@ def test_block_tap_matches_emission_count():
         pipe.step(px)
     _, stats = pipe.finish()
     assert len(pipe.captures(Tap.BLOCKS)) == stats.blocks_out == 4
+
+
+def record_fields(records):
+    """(class name, field values...) of frozen dataclass records whose fields are plain ints."""
+    out = []
+    for x in records:
+        assert type(x).__dataclass_params__.frozen
+        values = dataclasses.astuple(x)
+        assert all(type(v) is int for v in values)
+        out.append((type(x).__name__, *values))
+    return out
+
+
+@pytest.mark.parametrize(
+    "cordic", [CordicConfig(), CordicConfig(iterations=14)], ids=["16-iter", "14-iter"]
+)
+def test_every_tap_record_matches_independent_oracles(cordic):
+    luma = rand_frame((16, 24), 12)
+    pipe = StreamingPipeline(cfg_for(luma, cordic=cordic, taps=frozenset(Tap)))
+    for px in luma.ravel().tolist():
+        pipe.step(px)
+    pipe.finish()
+
+    grads = ref_gradients(luma)
+    gradients, polar, votes = [], [], []
+    for r in range(16):
+        for c in range(24):
+            gx, gy = int(grads[r, c, 0]), int(grads[r, c, 1])
+            mag, ang, _ = polar_raw(gx, gy, cordic)
+            gradients.append(("GradientPair", gx, gy, r, c))
+            polar.append(("PolarGradient", mag, ang, r, c))
+            votes.append(("BinVote", *vote_raw(mag, ang), r, c))
+    assert record_fields(pipe.captures(Tap.GRADIENTS)) == gradients
+    assert record_fields(pipe.captures(Tap.POLAR)) == polar
+    assert record_fields(pipe.captures(Tap.VOTES)) == votes
+    names = {
+        tap: [f.name for f in dataclasses.fields(pipe.captures(tap)[0])]
+        for tap in (Tap.GRADIENTS, Tap.POLAR, Tap.VOTES)
+    }
+    assert names == {
+        Tap.GRADIENTS: ["gx", "gy", "row", "col"],
+        Tap.POLAR: ["magnitude", "orientation", "row", "col"],
+        Tap.VOTES: ["lo_bin", "hi_bin", "lo_weight", "hi_weight", "row", "col"],
+    }
+
+    cells, blocks = ref_batch_fixed(luma, cordic)
+    assert [(h.cell_row, h.cell_col, h.bins) for h in pipe.captures(Tap.CELLS)] == [
+        (r, c, tuple(cells[r, c].tolist())) for r in range(2) for c in range(3)
+    ]
+    got = pipe.captures(Tap.BLOCKS)
+    assert [(b.block_row, b.block_col) for b in got] == [(0, 0), (0, 1)]
+    for b in got:
+        assert np.array_equal(b.values, blocks[b.block_row, b.block_col])
 
 
 def test_unrequested_tap_raises():

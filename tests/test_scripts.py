@@ -6,19 +6,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_accuracy_sweep_prints_table_and_corpus_mean():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "accuracy_sweep.py"),
-         "--width", "64", "--height", "64", "--count", "3"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, check=True,
     )
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_accuracy_sweep_prints_table_and_corpus_mean():
+    lines = run_script(
+        "accuracy_sweep.py", "--width", "64", "--height", "64", "--count", "3"
+    )
     assert lines[0].split() == ["frame", "mean_rel_err", "max_abs_err"]
     assert len(lines) >= 3
     label, mean = lines[-1].rsplit(None, 1)
     assert label == "corpus mean"
     assert 0.0 <= float(mean) <= 0.03
+
+
+def test_cordic_sweep_covers_the_grid_within_angle_bound():
+    lines = run_script("cordic_sweep.py", "--iterations", "14")
+    # label and value are separated by a run of spaces; labels hold single ones
+    report = {label: value.strip() for label, value in (l.split("  ", 1) for l in lines)}
+    assert report["iterations"] == "14"
+    assert report["inputs"] == "261121"
+    assert 0.0 < float(report["max angle err (deg)"]) <= 0.01

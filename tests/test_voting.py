@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cordic import CordicConfig, PolarGradient, polar_raw_arrays, polar_table
+from hogpipe.cordic import CordicConfig, polar_raw_arrays, polar_table
 from hogpipe.fixq import ANG, MAG, quantize
-from hogpipe.voting import BIN_COUNT, BinVote, vote, vote_table
+from hogpipe.pipeline import BinVote, PolarGradient
+from hogpipe.voting import BIN_COUNT, vote_raw, vote_table
 from oracles import ref_vote
+
+
+def vote(p: PolarGradient) -> BinVote:
+    """The voter on one polar record, as the pipeline's vote tap records it."""
+    return BinVote(*vote_raw(p.magnitude, p.orientation), p.row, p.col)
 
 
 def pg(angle_deg: float, mag: float) -> PolarGradient:
@@ -125,9 +131,3 @@ def test_scalar_matches_reference_voter(gx, gy):
     if lo == v.lo_bin:
         assert abs(v.hi_weight / MAG.scale - hi_w) <= 1.0 / MAG.scale
         assert abs(v.lo_weight / MAG.scale - lo_w) <= 1.0 / MAG.scale
-
-
-def test_vote_carries_coordinates():
-    v = vote(PolarGradient(64, 0, 3, 5))
-    assert (v.row, v.col) == (3, 5)
-    assert isinstance(v, BinVote)
