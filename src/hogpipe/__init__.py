@@ -1,7 +1,7 @@
 """Streaming fixed-point HOG feature extractor and its floating-point golden model."""
 
-from .blocks import BlockDescriptor, HogFrame, normalize_block
-from .cells import CellHistogram, cells_per_frame
+from .blocks import HogFrame
+from .cells import cells_per_frame
 from .cordic import CordicConfig
 from .detector import Detection, SvmModel, detect, load_model, save_model, score_window
 from .errors import (
@@ -10,7 +10,6 @@ from .errors import (
     FormatError,
     FormatMismatch,
     LayoutError,
-    OrderError,
     OutOfBoundsError,
     ShapeMismatch,
     TapNotEnabled,
@@ -19,6 +18,8 @@ from .fixq import ANG, CELL_ACC, GRAD, MAG, QFormat, QValue
 from .golden import DiffReport, GoldenHog, compare, golden_hog
 from .ingest import GrayFrame, decode_image, load_luma
 from .pipeline import (
+    BlockDescriptor,
+    CellHistogram,
     PipelineConfig,
     PolarGradient,
     RunStats,
@@ -46,7 +47,6 @@ __all__ = [
     "HogFrame",
     "LayoutError",
     "MAG",
-    "OrderError",
     "OutOfBoundsError",
     "PipelineConfig",
     "PolarGradient",
@@ -65,7 +65,6 @@ __all__ = [
     "golden_hog",
     "load_luma",
     "load_model",
-    "normalize_block",
     "run_frame",
     "run_frame_fast",
     "save_model",

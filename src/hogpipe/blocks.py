@@ -8,8 +8,9 @@ neighborhood maps to the zero vector without a special case.
 
 Blocks overlap with a stride of one cell: a cells_rows x cells_cols grid
 yields (cells_rows - 1) x (cells_cols - 1) blocks. Streaming assembly
-buffers exactly one row of cells plus one cell; the block at (r-1, c-1)
-is emitted the moment cell (r, c) arrives.
+keeps a ring of one cell row plus one cell; the block at (r-1, c-1) is
+emitted the moment cell (r, c) arrives. Cells and blocks carry no
+coordinate: each one's row-major position is its count.
 
 Normalization happens in double precision on the dequantized accumulator
 values by normalize_grid, which the streaming path calls on a 2x2 grid per
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellHistogram
-from .errors import OrderError, ShapeMismatch
+from .errors import ShapeMismatch
 from .fixq import MAG
 
 BLOCK_EPSILON = 1e-3
@@ -33,36 +33,6 @@ BLOCK_VALUES = 36
 def block_count(cell_cols: int, cell_rows: int) -> int:
     """Overlapping 2x2 blocks in a cell_cols x cell_rows cell grid."""
     return (cell_cols - 1) * (cell_rows - 1)
-
-
-@dataclass(frozen=True)
-class BlockDescriptor:
-    values: np.ndarray  # 36 float64, L2-normalized
-    block_row: int
-    block_col: int
-
-
-def normalize_block(
-    tl: CellHistogram,
-    tr: CellHistogram,
-    bl: CellHistogram,
-    br: CellHistogram,
-    epsilon: float = BLOCK_EPSILON,
-) -> BlockDescriptor:
-    """Normalize one 2x2 cell neighborhood into a block descriptor."""
-    if not (
-        tr.cell_row == tl.cell_row
-        and bl.cell_row == tl.cell_row + 1
-        and br.cell_row == tl.cell_row + 1
-        and tr.cell_col == tl.cell_col + 1
-        and bl.cell_col == tl.cell_col
-        and br.cell_col == tl.cell_col + 1
-    ):
-        raise ShapeMismatch("cells do not form a 2x2 neighborhood")
-    grid = np.array([[tl.bins, tr.bins], [bl.bins, br.bins]], dtype=np.int64)
-    return BlockDescriptor(
-        normalize_grid(grid, epsilon)[0, 0], tl.cell_row, tl.cell_col
-    )
 
 
 def block_quads(cells: np.ndarray) -> np.ndarray:
@@ -83,45 +53,35 @@ def normalize_grid(cells: np.ndarray, epsilon: float = BLOCK_EPSILON) -> np.ndar
 
 
 class BlockAssembler:
-    """Turns a row-major cell stream into a row-major block stream."""
+    """Turns a row-major stream of cell bins into a row-major stream of
+    normalized blocks, through a ring of cells_cols + 1 cells."""
 
     def __init__(self, cells_cols: int, epsilon: float = BLOCK_EPSILON):
         if cells_cols < 1:
             raise ShapeMismatch("need at least one cell column")
         self.cells_cols = cells_cols
         self.epsilon = epsilon
-        self._prev_row: list[CellHistogram | None] = [None] * cells_cols
-        self._prev_cell: CellHistogram | None = None
-        self._next = 0  # expected cell sequence number
+        self._cap = cells_cols + 1
+        self._ring: list = [None] * self._cap
+        self._next = 0  # cells in so far; the next cell's row-major position
 
     @property
     def buffered_cells(self) -> int:
-        n = sum(1 for c in self._prev_row if c is not None)
-        return n + (1 if self._prev_cell is not None else 0)
+        """Live cells held: at most one cell row plus one."""
+        return min(self._next, self._cap)
 
-    def add(self, cell: CellHistogram) -> BlockDescriptor | None:
-        r, c = cell.cell_row, cell.cell_col
-        if r * self.cells_cols + c != self._next:
-            raise OrderError(
-                f"cell ({r}, {c}) out of order, expected sequence {self._next}"
-            )
+    def add(self, bins: list[int]) -> np.ndarray | None:
+        """Take the next cell's nine raw bins; returns the 36 normalized
+        values of the block it completes, else None."""
+        n, cols, cap, ring = self._next, self.cells_cols, self._cap, self._ring
         self._next += 1
         out = None
-        if r >= 1 and c >= 1:
-            out = normalize_block(
-                self._prev_row[c - 1],
-                self._prev_row[c],
-                self._prev_cell,
-                cell,
-                self.epsilon,
-            )
-        if c == 0:
-            if self._prev_cell is not None:
-                # retire the last cell of the previous row into the row buffer
-                self._prev_row[self.cells_cols - 1] = self._prev_cell
-        else:
-            self._prev_row[c - 1] = self._prev_cell
-        self._prev_cell = cell
+        if n > cols and n % cols:
+            # slot n % cap still holds cell n - cols - 1, the top-left
+            tl, tr, bl = ring[n % cap], ring[(n - cols) % cap], ring[(n - 1) % cap]
+            grid = np.array([[tl, tr], [bl, bins]], dtype=np.int64)
+            out = normalize_grid(grid, self.epsilon)[0, 0]
+        ring[n % cap] = bins
         return out
 
 

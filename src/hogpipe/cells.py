@@ -6,15 +6,14 @@ the accumulator counts. One partial histogram per cell column is enough
 state for the whole frame: a cell's 64 pixels span eight consecutive row
 segments, so only the cells of the current cell-row are ever partially
 filled. When the vote for a cell's last pixel (local position (7, 7))
-arrives, the finished histogram is emitted and that partial is zeroed for
-reuse by the cell below it.
+arrives, the finished cell's nine bins are handed on as a plain list and
+a fresh partial takes its place for the cell below; cells come out in
+row-major order, so a cell's position is its emission count.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow. cell_bin_base is the
 one whole-frame pixel-to-cell index, for the vectorized and golden paths.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +43,6 @@ def cell_bin_base(width: int, height: int) -> np.ndarray:
     return (cells * BIN_COUNT).ravel()
 
 
-@dataclass(frozen=True)
-class CellHistogram:
-    bins: tuple[int, ...]  # 9 raw accumulator values (U16.6)
-    cell_row: int
-    cell_col: int
-
-
 class CellAccumulator:
     """One cell-row ring of partial histograms (width/8 entries)."""
 
@@ -67,9 +59,10 @@ class CellAccumulator:
 
     def accumulate(
         self, lo_bin: int, hi_bin: int, lo_weight: int, hi_weight: int
-    ) -> CellHistogram | None:
-        """Fold the next pixel's vote in; returns the finished histogram on
-        a cell's last pixel, else None."""
+    ) -> list[int] | None:
+        """Fold the next pixel's vote in; returns the finished cell's bins
+        on its last pixel, else None. The list is handed over, not copied:
+        the accumulator never touches it again."""
         r, c = divmod(self._next, self.width)
         self._next += 1
         col = c // CELL_SIZE
@@ -79,5 +72,5 @@ class CellAccumulator:
         if c % CELL_SIZE == CELL_SIZE - 1 and r % CELL_SIZE == CELL_SIZE - 1:
             # this vote closes the cell's last 8-pixel row segment
             self._partials[col] = [0] * BIN_COUNT
-            return CellHistogram(tuple(bins), r // CELL_SIZE, col)
+            return bins
         return None

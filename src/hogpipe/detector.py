@@ -20,6 +20,7 @@ lies within a few ulp of the threshold may pass in one and not the other.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,8 +40,8 @@ class SvmModel:
     weights: np.ndarray  # float64, feature_count entries
     bias: float = 0.0
     threshold: float = 0.0
-    window_cell_cols: int = WINDOW_CELL_COLS
-    window_cell_rows: int = WINDOW_CELL_ROWS
+    window_cell_cols: ClassVar[int] = WINDOW_CELL_COLS
+    window_cell_rows: ClassVar[int] = WINDOW_CELL_ROWS
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64).ravel()

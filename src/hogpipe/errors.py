@@ -17,10 +17,6 @@ class FormatMismatch(ValueError):
     """Data disagrees with the format it is written in (payload vs header)."""
 
 
-class OrderError(RuntimeError):
-    """Streaming items arrived out of row-major order."""
-
-
 class ShapeMismatch(ValueError):
     """Two feature tensors that should be comparable have different geometry."""
 

@@ -14,13 +14,14 @@ Differences are gx = I(r, c+1) - I(r, c-1) and gy = I(r+1, c) - I(r-1, c)
 with coordinates clamped to the frame (replicate-edge border policy). After
 the last pixel of a frame, drain() runs the remaining warm-up's worth of
 steps to flush the tail; a W x H frame yields exactly W*H pairs over
-W*H + latency steps. A pixel outside 0..255 is refused with LayoutError,
-as luma8 refuses a whole frame.
+W*H + latency steps. A pixel that is not an integer in 0..255 is refused
+with LayoutError, as luma8 refuses a whole frame.
 
 warmup_steps is the one latency formula and frame_gradients the one
 whole-frame difference; the vectorized path and the golden model use them.
 """
 
+import operator
 from typing import Iterator, Optional
 
 import numpy as np
@@ -71,25 +72,27 @@ class GradientStage:
         """Live pixels held: at most two rows plus the window constant."""
         return min(self._pushed, self._cap)
 
-    def _at(self, index: int) -> int:
-        return self._ring[index % self._cap]
-
     def _emit(self) -> tuple[int, int]:
-        w, h = self.width, self.height
+        w, cap, ring = self.width, self._cap, self._ring
         m = self.emitted
         r, c = divmod(m, w)
-        left = self._at(m - 1) if c > 0 else self._at(m)
-        right = self._at(m + 1) if c < w - 1 else self._at(m)
-        up = self._at(m - w) if r > 0 else self._at(m)
-        down = self._at(m + w) if r < h - 1 else self._at(m)
+        here = ring[m % cap]
+        left = ring[(m - 1) % cap] if c > 0 else here
+        right = ring[(m + 1) % cap] if c < w - 1 else here
+        up = ring[(m - w) % cap] if r > 0 else here
+        down = ring[(m + w) % cap] if r < self.height - 1 else here
         self.emitted += 1
         return right - left, down - up
 
     def push_pixel(self, luma: int) -> Optional[tuple[int, int]]:
         """One stream step. Returns (gx, gy) once warm-up has passed, else None."""
-        if not 0 <= luma <= 255:
-            raise LayoutError(f"luma must hold 8-bit values 0..255, got {luma}")
-        self._ring[self._pushed % self._cap] = luma
+        try:
+            px = operator.index(luma)
+        except TypeError:
+            px = -1  # not an integer
+        if not 0 <= px <= 255:
+            raise LayoutError(f"luma must hold 8-bit values 0..255, got {luma!r}")
+        self._ring[self._pushed % self._cap] = px
         self._pushed += 1
         if self._pushed > self._latency:
             return self._emit()

@@ -8,10 +8,11 @@ the gradient stage drains its latency tail, each flushed pixel costing
 one further step. pixels_per_step therefore lands just under 1.0: the
 frame's pixel count divided by pixel count plus warm-up.
 
-The per-pixel stages hand each other plain ints, as hardware stages hand
-on registers; a pixel's position is implied by stream order. The
-per-pixel records (GradientPair, PolarGradient, BinVote) are defined here
-and built, with that position, only when a Tap asks for them.
+Stages hand each other plain values, as hardware stages hand on
+registers (ints per pixel, nine bins per cell, 36 floats per block), and
+each item's position is its count in stream order. The tap records
+(GradientPair, PolarGradient, BinVote, CellHistogram, BlockDescriptor)
+are defined here and built, with that position, only when a Tap asks.
 
 run_frame is the instrumented streaming path; its polar stage reads the
 memoized PolarTable one pixel at a time. run_frame_fast computes the
@@ -79,6 +80,20 @@ class BinVote:
 
 
 @dataclass(frozen=True)
+class CellHistogram:
+    bins: tuple[int, ...]  # 9 raw accumulator values (U16.6)
+    cell_row: int
+    cell_col: int
+
+
+@dataclass(frozen=True)
+class BlockDescriptor:
+    values: np.ndarray  # 36 float64, L2-normalized
+    block_row: int
+    block_col: int
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     width: int
     height: int
@@ -110,10 +125,11 @@ class StreamingPipeline:
     """Single-frame pipeline instance with step and buffer accounting.
 
     Call step() once per pixel (an int in 0..255, else LayoutError) in
-    row-major order, then finish(). The polar stage is a lookup in the memoized PolarTable, exhaustively equal
-    to the scalar CORDIC core. Peak buffer occupancy is tracked per step
-    for the memory-bound check; the table is constant data and
-    deliberately not counted.
+    row-major order, then finish(). The polar stage is a lookup in the
+    memoized PolarTable, exhaustively equal to the scalar CORDIC core. A
+    ring's fill never drops within a frame, so the peak buffer occupancy
+    of the memory-bound check is the rings' current fill; the table is
+    constant data and deliberately not counted.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -130,9 +146,14 @@ class StreamingPipeline:
         self.steps = 0
         self.cells_out = 0
         self.blocks_out = 0
-        self.peak_pixel_buffer = 0
-        self.peak_cell_row_buffer = 0
-        self._done = False
+
+    @property
+    def peak_pixel_buffer(self) -> int:
+        return self._grad.buffered_pixels
+
+    @property
+    def peak_cell_row_buffer(self) -> int:
+        return self._blocks.buffered_cells
 
     @property
     def cell_partials(self) -> int:
@@ -148,17 +169,14 @@ class StreamingPipeline:
         g = self._grad.push_pixel(luma)
         self.pixels_in += 1
         self.steps += 1
-        if self._grad.buffered_pixels > self.peak_pixel_buffer:
-            self.peak_pixel_buffer = self._grad.buffered_pixels
         if g is not None:
             self._advance(g)
 
     def finish(self) -> tuple[HogFrame, RunStats]:
-        if not self._done:
-            for g in self._grad.drain():
-                self.steps += 1
-                self._advance(g)
-            self._done = True
+        # a drained stage yields nothing more, so a second finish() is a no-op
+        for g in self._grad.drain():
+            self.steps += 1
+            self._advance(g)
         return self._result()
 
     def _advance(self, g: tuple[int, int]) -> None:
@@ -174,21 +192,21 @@ class StreamingPipeline:
                 cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
             if Tap.VOTES in cap:
                 cap[Tap.VOTES].append(BinVote(lo, hi, lo_w, hi_w, r, c))
-        h = self._cells.accumulate(lo, hi, lo_w, hi_w)
-        if h is None:
+        bins = self._cells.accumulate(lo, hi, lo_w, hi_w)
+        if bins is None:
             return
+        r, c = divmod(self.cells_out, self._blocks.cells_cols)
         self.cells_out += 1
-        self._cell_grid[h.cell_row, h.cell_col] = h.bins
+        self._cell_grid[r, c] = bins
         if Tap.CELLS in cap:
-            cap[Tap.CELLS].append(h)
-        b = self._blocks.add(h)
-        if self._blocks.buffered_cells > self.peak_cell_row_buffer:
-            self.peak_cell_row_buffer = self._blocks.buffered_cells
-        if b is not None:
+            cap[Tap.CELLS].append(CellHistogram(tuple(bins), r, c))
+        values = self._blocks.add(bins)
+        if values is not None:
+            r, c = divmod(self.blocks_out, self._blocks.cells_cols - 1)
             self.blocks_out += 1
-            self._block_grid[b.block_row, b.block_col] = b.values
+            self._block_grid[r, c] = values
             if Tap.BLOCKS in cap:
-                cap[Tap.BLOCKS].append(b)
+                cap[Tap.BLOCKS].append(BlockDescriptor(values, r, c))
 
     def _result(self) -> tuple[HogFrame, RunStats]:
         stats = RunStats(

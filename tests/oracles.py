@@ -118,8 +118,7 @@ def ref_batch_fixed(luma, cordic_cfg):
     plain nested loops and no buffering machinery, then normalizes each 2x2
     block. The streamed result must match element-exactly.
     """
-    from hogpipe.blocks import normalize_block
-    from hogpipe.cells import CellHistogram
+    from hogpipe.blocks import normalize_grid
     from hogpipe.cordic import polar_raw
     from hogpipe.voting import vote_raw
 
@@ -139,9 +138,5 @@ def ref_batch_fixed(luma, cordic_cfg):
     blocks = np.zeros((cr - 1, cc - 1, 36))
     for i in range(cr - 1):
         for j in range(cc - 1):
-            quad = [
-                CellHistogram(tuple(int(x) for x in bins[a, b]), a, b)
-                for a, b in ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))
-            ]
-            blocks[i, j] = normalize_block(*quad).values
+            blocks[i, j] = normalize_grid(bins[i : i + 2, j : j + 2])[0, 0]
     return bins, blocks

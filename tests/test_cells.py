@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cells import (
-    CellAccumulator,
-    CellHistogram,
-    cells_per_frame,
-)
+from hogpipe.cells import CellAccumulator, cells_per_frame
 from hogpipe.cordic import CordicConfig, polar_raw, polar_table
 from hogpipe.errors import DimensionError
 from hogpipe.gradient import GradientStage
@@ -41,19 +37,17 @@ def test_cells_per_frame():
 def test_unit_votes_fill_bin_zero():
     acc = CellAccumulator(8, 8)
     hists = feed_frame(acc, 8, 8, lambda r, c: synth_vote(0, 64, 0))
-    assert len(hists) == 1
-    h = hists[0]
-    assert (h.cell_row, h.cell_col) == (0, 0)
-    assert h.bins == (64 * 64,) + (0,) * 8
+    assert hists == [[64 * 64] + [0] * 8]
 
 
 def test_zero_votes_emit_zero_histograms_in_order():
     acc = CellAccumulator(16, 16)
     hists = feed_frame(acc, 16, 16, lambda r, c: synth_vote())
-    assert [(h.cell_row, h.cell_col) for h in hists] == [
-        (0, 0), (0, 1), (1, 0), (1, 1)
-    ]
-    assert all(h.bins == (0,) * 9 for h in hists)
+    assert hists == [[0] * 9] * 4
+    # cells come out row-major: (0, 0), (0, 1), (1, 0), (1, 1)
+    acc = CellAccumulator(16, 16)
+    hists = feed_frame(acc, 16, 16, lambda r, c: synth_vote(0, 2 * (r // 8) + c // 8))
+    assert [h[0] for h in hists] == [0, 64, 128, 192]
 
 
 def test_emission_happens_on_local_seven_seven():
@@ -69,8 +63,8 @@ def test_emission_happens_on_local_seven_seven():
 def test_votes_split_between_two_bins():
     acc = CellAccumulator(8, 8)
     hists = feed_frame(acc, 8, 8, lambda r, c: synth_vote(8, 40, 24))
-    assert hists[0].bins[8] == 40 * 64
-    assert hists[0].bins[0] == 24 * 64
+    assert hists[0][8] == 40 * 64
+    assert hists[0][0] == 24 * 64
 
 
 def test_16x16_matches_nested_loop_bucketing():
@@ -106,9 +100,8 @@ def test_16x16_matches_nested_loop_bucketing():
             expect[r // 8, c // 8, lo] += lo_w
             expect[r // 8, c // 8, hi] += hi_w
 
-    got = np.zeros((2, 2, 9), dtype=np.int64)
-    for h in streamed:
-        got[h.cell_row, h.cell_col] = h.bins
+    # row-major emission order places each cell
+    got = np.array(streamed, dtype=np.int64).reshape(2, 2, 9)
     assert np.array_equal(got, expect)
 
 
@@ -134,4 +127,4 @@ def test_mass_conservation_random_votes(seed, width, height):
             if h is not None:
                 hists.append(h)
     assert len(hists) == (width // 8) * (height // 8)
-    assert sum(sum(h.bins) for h in hists) == total_in
+    assert sum(sum(h) for h in hists) == total_in

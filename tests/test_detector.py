@@ -144,6 +144,11 @@ def test_model_validates_weight_count():
     SvmModel(weights=np.zeros(N_FEATURES))
     with pytest.raises(CountMismatch):
         SvmModel(weights=np.zeros(N_FEATURES - 1))
+    # the window is the fixed 8x16 cells, not a per-model setting
+    model = SvmModel(weights=np.zeros(N_FEATURES))
+    assert (model.window_cell_cols, model.window_cell_rows) == (8, 16)
+    with pytest.raises(TypeError):
+        SvmModel(weights=np.zeros(7 * 7 * 36), window_cell_cols=8, window_cell_rows=8)
 
 
 def test_window_position_arithmetic():

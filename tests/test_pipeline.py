@@ -67,7 +67,9 @@ def test_luma_outside_8_bits_is_rejected(entry, bad):
 
 
 @pytest.mark.parametrize(
-    "pos, bad", [(255, -300), (0, 256), (100, 256)], ids=["-300-last", "256-first", "256-mid"]
+    "pos, bad",
+    [(255, -300), (0, 256), (100, 256), (100, 7.5), (100, np.float64(7.0))],
+    ids=["-300-last", "256-first", "256-mid", "float-mid", "np-float-mid"],
 )
 def test_streaming_port_rejects_pixels_outside_8_bits(pos, bad):
     pixels = rand_frame((16, 16), 13).ravel().tolist()
@@ -77,6 +79,17 @@ def test_streaming_port_rejects_pixels_outside_8_bits(pos, bad):
         for px in pixels:
             pipe.step(px)
     assert pipe.pixels_in == pos
+
+
+def test_streaming_port_takes_numpy_integers_as_ints():
+    luma = rand_frame((16, 16), 13)
+    pipe = StreamingPipeline(cfg_for(luma))
+    for px in luma.ravel():  # np.uint8 scalars, whose differences would wrap
+        pipe.step(px)
+    hog, _ = pipe.finish()
+    ref, _ = run_frame(luma, cfg_for(luma))
+    assert np.array_equal(hog.cells, ref.cells)
+    assert np.array_equal(hog.blocks, ref.blocks)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
@@ -94,6 +107,18 @@ def test_smallest_frame_stats():
     assert stats.pixels_per_step == 256 / 274
     assert hog.cells.shape == (2, 2, 9)
     assert hog.blocks.shape == (1, 1, 36)
+
+
+def test_second_finish_returns_the_same_frame():
+    luma = rand_frame((16, 16), 2)
+    pipe = StreamingPipeline(cfg_for(luma))
+    for px in luma.ravel().tolist():
+        pipe.step(px)
+    hog, stats = pipe.finish()
+    again, stats_again = pipe.finish()
+    assert stats_again == stats
+    assert np.array_equal(again.cells, hog.cells)
+    assert np.array_equal(again.blocks, hog.blocks)
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (16, 24), (24, 16), (32, 32)])
@@ -240,6 +265,15 @@ def test_every_tap_record_matches_independent_oracles(cordic):
     assert [(b.block_row, b.block_col) for b in got] == [(0, 0), (0, 1)]
     for b in got:
         assert np.array_equal(b.values, blocks[b.block_row, b.block_col])
+    for tap, fields in {
+        Tap.CELLS: ["bins", "cell_row", "cell_col"],
+        Tap.BLOCKS: ["values", "block_row", "block_col"],
+    }.items():
+        record = pipe.captures(tap)[0]
+        assert type(record).__dataclass_params__.frozen
+        assert [f.name for f in dataclasses.fields(record)] == fields
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, fields[1], 1)
 
 
 def test_unrequested_tap_raises():
@@ -263,9 +297,9 @@ def test_buffer_peaks_stay_bounded():
         pipe.step(px)
     pipe.finish()
     # two pixel rows plus the 3-wide window tail
-    assert pipe.peak_pixel_buffer <= 2 * 64 + 3
+    assert pipe.peak_pixel_buffer == 2 * 64 + 3
     assert pipe.cell_partials == 64 // 8
-    assert pipe.peak_cell_row_buffer <= 64 // 8 + 1
+    assert pipe.peak_cell_row_buffer == 64 // 8 + 1
 
 
 @settings(max_examples=20, deadline=None)

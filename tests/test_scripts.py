@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hogpipe.ingest import load_luma
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,3 +38,14 @@ def test_cordic_sweep_covers_the_grid_within_angle_bound():
     assert report["iterations"] == "14"
     assert report["inputs"] == "261121"
     assert 0.0 < float(report["max angle err (deg)"]) <= 0.01
+
+
+def test_make_test_images_writes_decodable_frames(tmp_path):
+    lines = run_script(
+        "make_test_images.py", str(tmp_path),
+        "--width", "32", "--height", "32", "--count", "3",
+    )
+    assert len(lines) >= 3  # the corpus always holds its eight fixed textures
+    for path in lines:
+        assert Path(path).parent == tmp_path
+        assert load_luma(path).luma.shape == (32, 32)
