@@ -2,6 +2,9 @@
 
 Usage: python scripts/make_test_images.py OUTDIR [--width 640]
        [--height 480] [--count 20] [--seed 0]
+
+Writes at least COUNT frames; the 8 fixed textures always come first, so
+a COUNT below 8 still writes 8.
 """
 
 import argparse
@@ -16,7 +19,10 @@ def main() -> None:
     ap.add_argument("outdir")
     ap.add_argument("--width", type=int, default=640)
     ap.add_argument("--height", type=int, default=480)
-    ap.add_argument("--count", type=int, default=20)
+    ap.add_argument(
+        "--count", type=int, default=20,
+        help="at least COUNT frames; the 8 fixed textures always come first",
+    )
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -7,19 +7,25 @@ blocks at stride one, epsilon inside the square root) in plain float64,
 so a diff against it isolates quantization error. Gradients, cell index
 and block layout come from the owners the fixed path also calls.
 
-Cell bins sum each vote weight's coarse and fine limbs with bincounts,
-which is exact, then add the two limb totals once, rounding as math.fsum
-would; block denominators use fsum. Both are order-independent, so the
-vectorized reduction is bit-identical to a naive per-pixel loop.
+Votes are gathered from a memoized table of golden_votes over the full
+gradient grid, built on the first golden call. Cell bins sum each vote
+weight's coarse and fine limbs with bincounts, which is exact, then add
+the two limb totals once, rounding as math.fsum would. Block denominators
+split each square into four limbs on fixed grids, sum each limb exactly
+and round the four totals once, again as math.fsum of the squares would.
+Both are order-independent, so the vectorized reduction is bit-identical
+to a naive per-pixel loop.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
 from .cells import cell_bin_base, cells_per_frame
+from .cordic import gradient_grid, grid_index
 from .errors import ShapeMismatch
 from .fixq import MAG
 from .gradient import frame_gradients, luma8
@@ -70,9 +76,10 @@ def golden_polar(
     return mag, ang
 
 
-# Vote weights are below 2**9 on a 2**-61 grid (tested for every gradient pair)
-# and a bin gets at most 64, so for LIMB_BITS in 14..38 both limb totals are
-# exact in any order and one add rounds their sum once, as math.fsum does.
+# Vote weights are below 2**9 on a 2**-61 grid (GoldenVoteTable checks every
+# gradient pair) and a bin gets at most 64, so for LIMB_BITS in 14..38 both
+# limb totals are exact in any order and one add rounds their sum once, as
+# math.fsum does.
 LIMB_BITS = 26
 
 
@@ -84,6 +91,44 @@ def exact_bincount(pairs, n: int) -> np.ndarray:
         coarse = coarse + np.bincount(keys, weights=top, minlength=n)
         fine = fine + np.bincount(keys, weights=weights - top, minlength=n)
     return coarse + fine
+
+
+def check_vote_weights(weights: np.ndarray) -> None:
+    """Reject weights outside exact_bincount's precondition: each must be
+    >= 0, below 2**9 and a whole multiple of 2**-61."""
+    scaled = weights * 2.0**61
+    if not (
+        np.all(weights >= 0.0)
+        and np.all(weights < 2.0**9)
+        and np.array_equal(scaled, np.floor(scaled))
+    ):
+        raise ValueError(
+            "golden vote weights must lie in [0, 2**9) on a 2**-61 grid "
+            "for exact limb sums"
+        )
+
+
+# A golden cell value rounds a sum of at most 64 such weights, so it is a
+# multiple of 2**-61 below 2**15 (64 * 360.6 = 23,080 in practice) and its
+# rounded square is a multiple of 2**-122 below 2**30. Cutting the square at
+# grids 2**-17, 2**-64 and 2**-111 leaves four limbs of at most 47 bits; 36
+# of them add at most 6 bits, so each limb's total is exact in any order,
+# and one fsum of the four totals rounds the sum once.
+_SQUARE_CUTS = (17, 64, 111)
+
+
+def exact_square_sums(rows: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis of golden cell values, rounded once
+    from the exact total as math.fsum of the squares is."""
+    rest = np.square(rows)
+    limbs = []
+    for cut in _SQUARE_CUTS:
+        top = np.floor(rest * 2.0**cut) * 2.0**-cut
+        rest -= top
+        limbs.append(top.sum(axis=-1))
+    limbs.append(rest.sum(axis=-1))
+    totals = np.stack(limbs, axis=-1).reshape(-1, len(limbs)).tolist()
+    return np.array(list(map(math.fsum, totals))).reshape(rows.shape[:-1])
 
 
 def golden_votes(gx: np.ndarray, gy: np.ndarray):
@@ -98,6 +143,28 @@ def golden_votes(gx: np.ndarray, gy: np.ndarray):
     return (lo_bin, lo_w), (hi_bin, hi_w)
 
 
+class GoldenVoteTable:
+    """golden_votes memoized over the full gradient grid.
+
+    Laid out like voting.VoteTable for flat gathers at cordic.grid_index.
+    The build rejects weights that would break exact_bincount's exact sums.
+    """
+
+    def __init__(self):
+        (lo, lo_w), (hi, hi_w) = golden_votes(*gradient_grid())
+        check_vote_weights(lo_w)
+        check_vote_weights(hi_w)
+        self.lo_bin = lo.astype(np.int32)
+        self.hi_bin = hi.astype(np.int32)
+        self.lo_weight = lo_w
+        self.hi_weight = hi_w
+
+
+@lru_cache(maxsize=1)
+def golden_vote_table() -> GoldenVoteTable:
+    return GoldenVoteTable()
+
+
 def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     luma = luma8(luma)
     h, w = luma.shape
@@ -105,12 +172,16 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
 
     base = cell_bin_base(w, h)
     gx, gy = frame_gradients(luma)
-    votes = [(base + b, v) for b, v in golden_votes(gx.ravel(), gy.ravel())]
+    flat = grid_index(gx.ravel(), gy.ravel())
+    table = golden_vote_table()
+    votes = [
+        (base + table.lo_bin[flat], table.lo_weight[flat]),
+        (base + table.hi_bin[flat], table.hi_weight[flat]),
+    ]
     cells = exact_bincount(votes, cr * cc * BIN_COUNT).reshape(cr, cc, BIN_COUNT)
     quads = block_quads(cells)
-    sq_rows = np.square(quads).reshape(-1, BLOCK_VALUES).tolist()
-    denom = np.sqrt(np.array(list(map(math.fsum, sq_rows))) + epsilon * epsilon)
-    blocks = quads / denom.reshape(quads.shape[:2] + (1,))
+    denom = np.sqrt(exact_square_sums(quads) + epsilon * epsilon)
+    blocks = quads / denom[..., None]
     return GoldenHog(cells=cells, blocks=blocks)
 
 

@@ -1,18 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cordic import gradient_grid
 from hogpipe.errors import DimensionError, ShapeMismatch
 from hogpipe.golden import (
     DiffReport,
     GoldenHog,
+    check_vote_weights,
     compare,
     exact_bincount,
+    exact_square_sums,
     golden_hog,
-    golden_votes,
+    golden_vote_table,
 )
 from hogpipe.textures import blobs, make_corpus, ramp, uniform_noise
 from oracles import ref_hog
@@ -139,12 +144,40 @@ def test_oracle_agreement_random_small_frames(seed):
 
 def test_vote_weights_fit_the_two_limb_sum():
     # golden_hog's exact cell sums need every weight below 2**9 and a
-    # whole multiple of 2**-61; check every reachable gradient pair
-    for _, wts in golden_votes(*gradient_grid()):
+    # whole multiple of 2**-61; the table holds every reachable gradient pair
+    table = golden_vote_table()
+    for wts in (table.lo_weight, table.hi_weight):
         assert np.all(wts >= 0.0)
         assert np.all(wts < 2.0**9)
         scaled = wts * 2.0**61
         assert np.array_equal(scaled, np.floor(scaled))
+
+
+@pytest.mark.parametrize("bad", [3 * 2.0**-62, 2.0**9, -2.0**-61])
+def test_vote_weight_check_rejects_weights_off_the_limb_grid(bad):
+    ok = np.array([0.0, 2.0**-61, 360.5, 2.0**9 - 2.0**-44])
+    check_vote_weights(ok)
+    with pytest.raises(ValueError):
+        check_vote_weights(np.append(ok, bad))
+
+
+def test_golden_table_is_not_built_by_import_or_the_fixed_path():
+    # the golden table is built on the first golden call, so importing the
+    # package and building the fixed path's vote table leave it empty
+    code = (
+        "import hogpipe\n"
+        "from hogpipe import golden, voting\n"
+        "voting.vote_table(hogpipe.CordicConfig())\n"
+        "print(golden.golden_vote_table.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert proc.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("low, high", [(2.0**8, 2.0**9), (3.66e-3, 2.0**-8)])
@@ -160,6 +193,39 @@ def test_exact_bincount_is_fsum_on_worst_case_bins(low, high):
     )
     want = [math.fsum(row) for row in weights.tolist()]
     assert np.array_equal(got, want)
+
+
+def _square_sum_rows():
+    # 36-value rows of golden-like cell values: multiples of 2**-61 below
+    # 23,081, at the extremes, mixed, spread over every scale, and with
+    # squares straddling each limb cut of exact_square_sums
+    rng = np.random.default_rng(0)
+    n = (500, 36)
+    largest = rng.uniform(23_000.0, 23_081.0, n)
+    smallest = rng.uniform(2.0**-61, 2.0**-50, n)
+    cases = {
+        "largest": largest,
+        "smallest": smallest,
+        "mixed": np.where(rng.random(n) < 0.5, largest, smallest),
+        "random": 2.0 ** rng.uniform(-61.0, 14.49, n),
+    }
+    for cut in (17, 64, 111):
+        mid = 2.0 ** (-cut / 2)
+        cases[f"cut{cut}"] = rng.uniform(0.9 * mid, 1.1 * mid, n)
+        cases[f"cut{cut}-wide"] = 2.0 ** rng.uniform(-cut / 2 - 24, -cut / 2 + 2, n)
+    return {k: np.floor(v * 2.0**61) * 2.0**-61 for k, v in cases.items()}
+
+
+SQUARE_ROWS = _square_sum_rows()
+
+
+@pytest.mark.parametrize("name", SQUARE_ROWS)
+def test_exact_square_sums_is_fsum_on_worst_case_rows(name):
+    rows = SQUARE_ROWS[name]
+    assert np.all(rows >= 0.0) and np.all(rows < 23_081.0)
+    got = exact_square_sums(rows.reshape(20, 25, 36))
+    want = [math.fsum(row) for row in np.square(rows).tolist()]
+    assert np.array_equal(got.ravel(), want)
 
 
 # six corpus textures plus the ramp, noise and blob generators at 160x128,

@@ -45,7 +45,7 @@ def test_make_test_images_writes_decodable_frames(tmp_path):
         "make_test_images.py", str(tmp_path),
         "--width", "32", "--height", "32", "--count", "3",
     )
-    assert len(lines) >= 3  # the corpus always holds its eight fixed textures
+    assert len(lines) == 8  # the corpus always holds its eight fixed textures
     for path in lines:
         assert Path(path).parent == tmp_path
         assert load_luma(path).luma.shape == (32, 32)
