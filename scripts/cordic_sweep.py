@@ -23,7 +23,10 @@ def main() -> None:
     ap.add_argument("--iterations", type=int, default=16)
     args = ap.parse_args()
 
-    cfg = CordicConfig(iterations=args.iterations)
+    try:
+        cfg = CordicConfig(iterations=args.iterations)
+    except ValueError as e:
+        ap.error(f"--iterations: {e}")
     gx, gy = gradient_grid()
     mag_raw, ang_raw, precise = polar_raw_arrays(gx, gy, cfg)
 

@@ -11,14 +11,16 @@ a fresh partial takes its place for the cell below; cells come out in
 row-major order, so a cell's position is its emission count.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
-of headroom; 64 maximal magnitudes cannot overflow. cell_bin_base is the
-one whole-frame pixel-to-cell index, for the vectorized and golden paths.
+of headroom; 64 maximal magnitudes cannot overflow. frame_votes is the
+one whole-frame vote gather, for the vectorized and golden paths.
 """
 
 import numpy as np
 
+from .cordic import grid_index
 from .errors import DimensionError
-from .voting import BIN_COUNT
+from .gradient import frame_gradients
+from .voting import BIN_COUNT, VoteTable
 
 CELL_SIZE = 8
 
@@ -34,13 +36,17 @@ def cells_per_frame(width: int, height: int) -> tuple[int, int]:
     return width // CELL_SIZE, height // CELL_SIZE
 
 
-def cell_bin_base(width: int, height: int) -> np.ndarray:
-    """For every pixel in row-major order, the flat index of bin 0 of its
-    cell in a (cell_rows, cell_cols, 9) histogram, as int32."""
-    cols, _ = cells_per_frame(width, height)
-    rows = np.arange(height, dtype=np.int32)[:, None] // CELL_SIZE
-    cells = rows * cols + np.arange(width, dtype=np.int32) // CELL_SIZE
-    return (cells * BIN_COUNT).ravel()
+def frame_votes(luma: np.ndarray, table: VoteTable):
+    """Yield (keys, weights) of every pixel's low vote, then of its high
+    vote: the weight the table holds for the pixel's gradient, keyed by
+    the voted bin's flat index in a (rows, cols, 9) cell grid."""
+    h, w = luma.shape
+    cols, _ = cells_per_frame(w, h)
+    flat = grid_index(*frame_gradients(luma)).ravel()
+    rows = np.arange(h, dtype=np.int32)[:, None] // CELL_SIZE * cols
+    base = ((rows + np.arange(w, dtype=np.int32) // CELL_SIZE) * BIN_COUNT).ravel()
+    yield base + table.lo_bin[flat], table.lo_weight[flat]
+    yield base + table.hi_bin[flat], table.hi_weight[flat]
 
 
 class CellAccumulator:

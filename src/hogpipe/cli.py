@@ -208,6 +208,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _threshold(text: str) -> float:
+    x = float(text)
+    if not x >= 0.0:  # also refuses NaN, which every comparison fails
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text}")
+    return x
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hogpipe")
     sub = p.add_subparsers(dest="command", required=True)
@@ -222,7 +229,7 @@ def _parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("compare", help="fixed pipeline vs float reference")
     cp.add_argument("--input", required=True)
-    cp.add_argument("--threshold", type=float, default=0.03)
+    cp.add_argument("--threshold", type=_threshold, default=0.03)
     cp.set_defaults(func=cmd_compare)
 
     be = sub.add_parser("bench", help="throughput on synthetic frames")

@@ -18,9 +18,9 @@ negative angles gain 180, and 180 itself is 0.
 The scalar and array code paths perform identical integer operations and
 are exhaustively asserted equal (polar_raw is the oracle); both round
 through fixq.rne_shift. A PolarTable memoizes the full 511x511 gradient
-grid at grid_index; the streaming model reads its polar stage from it as
-(magnitude, orientation) raw ints and the vectorized path builds its vote
-table on it.
+grid at grid_index; voting.vote_table votes it once for both the
+streaming and the vectorized path, and the streaming model reads the
+PolarTable itself only for its polar tap.
 """
 
 import math

@@ -4,13 +4,14 @@ measures how far the fixed-point pipeline drifts from it.
 The golden model follows every geometry decision of the streaming pipeline
 (replicated borders, bin centers at 10 + 20k degrees, 8x8 cells, 2x2
 blocks at stride one, epsilon inside the square root) in plain float64,
-so a diff against it isolates quantization error. Gradients, cell index
-and block layout come from the owners the fixed path also calls.
+so a diff against it isolates quantization error. Gradients, the vote
+gather and block layout come from the owners the fixed path also calls.
 
-Votes are gathered from a memoized table of golden_votes over the full
-gradient grid, built on the first golden call. Cell bins sum each vote
-weight's coarse and fine limbs with bincounts, which is exact, then add
-the two limb totals once, rounding as math.fsum would. Block denominators
+Votes are gathered by cells.frame_votes from golden_vote_table, a
+voting.VoteTable of golden_votes over the full gradient grid, memoized
+and built on the first golden call. Cell bins sum each vote weight's
+coarse and fine limbs with bincounts, which is exact, then add the two
+limb totals once, rounding as math.fsum would. Block denominators
 split each square into four limbs on fixed grids, sum each limb exactly
 and round the four totals once, again as math.fsum of the squares would.
 Both are order-independent, so the vectorized reduction is bit-identical
@@ -24,12 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
-from .cells import cell_bin_base, cells_per_frame
-from .cordic import gradient_grid, grid_index
+from .cells import cells_per_frame, frame_votes
+from .cordic import gradient_grid
 from .errors import ShapeMismatch
 from .fixq import MAG
-from .gradient import frame_gradients, luma8
-from .voting import BIN_COUNT
+from .gradient import luma8
+from .voting import BIN_COUNT, VoteTable
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def golden_polar(
     return mag, ang
 
 
-# Vote weights are below 2**9 on a 2**-61 grid (GoldenVoteTable checks every
+# Vote weights are below 2**9 on a 2**-61 grid (golden_vote_table checks every
 # gradient pair) and a bin gets at most 64, so for LIMB_BITS in 14..38 both
 # limb totals are exact in any order and one add rounds their sum once, as
 # math.fsum does.
@@ -87,9 +88,13 @@ def exact_bincount(pairs, n: int) -> np.ndarray:
     """Per-key totals of (keys, weights) pairs, rounded once from the exact sum."""
     coarse = fine = 0.0
     for keys, weights in pairs:
-        top = np.floor(weights * 2.0**LIMB_BITS) / 2.0**LIMB_BITS
-        coarse = coarse + np.bincount(keys, weights=top, minlength=n)
-        fine = fine + np.bincount(keys, weights=weights - top, minlength=n)
+        limb = np.floor(weights * 2.0**LIMB_BITS) / 2.0**LIMB_BITS
+        coarse = coarse + np.bincount(keys, weights=limb, minlength=n)
+        np.subtract(weights, limb, out=limb)  # the fine limb, same buffer
+        fine = fine + np.bincount(keys, weights=limb, minlength=n)
+        # free this pair before the next is made: with fewer frame-sized
+        # arrays alive the heap need not grow, and be trimmed, every frame
+        del keys, weights, limb
     return coarse + fine
 
 
@@ -132,7 +137,8 @@ def exact_square_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def golden_votes(gx: np.ndarray, gy: np.ndarray):
-    """Real-valued center-interpolated votes: (lo_bin, lo_w), (hi_bin, hi_w)."""
+    """Real-valued center-interpolated votes, ordered as voting.vote_raw's:
+    (lo_bin, hi_bin, lo_weight, hi_weight)."""
     mag, ang = golden_polar(gx, gy)
     t = ((ang - 10.0) % 180.0) / 20.0
     t_floor = np.floor(t)
@@ -140,44 +146,24 @@ def golden_votes(gx: np.ndarray, gy: np.ndarray):
     lo_w = mag - hi_w
     lo_bin = t_floor.astype(np.int64) % BIN_COUNT
     hi_bin = (lo_bin + 1) % BIN_COUNT
-    return (lo_bin, lo_w), (hi_bin, hi_w)
-
-
-class GoldenVoteTable:
-    """golden_votes memoized over the full gradient grid.
-
-    Laid out like voting.VoteTable for flat gathers at cordic.grid_index.
-    The build rejects weights that would break exact_bincount's exact sums.
-    """
-
-    def __init__(self):
-        (lo, lo_w), (hi, hi_w) = golden_votes(*gradient_grid())
-        check_vote_weights(lo_w)
-        check_vote_weights(hi_w)
-        self.lo_bin = lo.astype(np.int32)
-        self.hi_bin = hi.astype(np.int32)
-        self.lo_weight = lo_w
-        self.hi_weight = hi_w
+    return lo_bin, hi_bin, lo_w, hi_w
 
 
 @lru_cache(maxsize=1)
-def golden_vote_table() -> GoldenVoteTable:
-    return GoldenVoteTable()
+def golden_vote_table() -> VoteTable:
+    """golden_votes over the full gradient grid. The build rejects weights
+    that would break exact_bincount's exact sums."""
+    lo, hi, lo_w, hi_w = golden_votes(*gradient_grid())
+    check_vote_weights(lo_w)
+    check_vote_weights(hi_w)
+    return VoteTable(lo, hi, lo_w, hi_w)
 
 
 def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     luma = luma8(luma)
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
-
-    base = cell_bin_base(w, h)
-    gx, gy = frame_gradients(luma)
-    flat = grid_index(gx.ravel(), gy.ravel())
-    table = golden_vote_table()
-    votes = [
-        (base + table.lo_bin[flat], table.lo_weight[flat]),
-        (base + table.hi_bin[flat], table.hi_weight[flat]),
-    ]
+    votes = frame_votes(luma, golden_vote_table())
     cells = exact_bincount(votes, cr * cc * BIN_COUNT).reshape(cr, cc, BIN_COUNT)
     quads = block_quads(cells)
     denom = np.sqrt(exact_square_sums(quads) + epsilon * epsilon)

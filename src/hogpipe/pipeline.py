@@ -14,9 +14,10 @@ each item's position is its count in stream order. The tap records
 (GradientPair, PolarGradient, BinVote, CellHistogram, BlockDescriptor)
 are defined here and built, with that position, only when a Tap asks.
 
-run_frame is the instrumented streaming path; its polar stage reads the
-memoized PolarTable one pixel at a time. run_frame_fast computes the
-identical HogFrame with whole-frame array arithmetic (memoized vote
+run_frame is the instrumented streaming path; its polar and voting
+stages read the memoized vote table one pixel at a time (the polar table
+only for the polar tap). run_frame_fast computes the identical HogFrame
+with whole-frame array arithmetic (cells.frame_votes over the same
 table, bincount histograms); every stage of it is integer-identical to
 the scalar datapath, so the two outputs match element-exactly. It owns
 no datapath decision: each comes from its stage's module.
@@ -35,11 +36,11 @@ from .blocks import (
     block_count,
     normalize_grid,
 )
-from .cells import CellAccumulator, cell_bin_base, cells_per_frame
+from .cells import CellAccumulator, cells_per_frame, frame_votes
 from .cordic import CordicConfig, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
-from .gradient import GradientStage, frame_gradients, luma8, warmup_steps
-from .voting import BIN_COUNT, vote_raw, vote_table
+from .gradient import GradientStage, luma8, warmup_steps
+from .voting import BIN_COUNT, vote_table
 
 
 class Tap(Enum):
@@ -125,17 +126,17 @@ class StreamingPipeline:
     """Single-frame pipeline instance with step and buffer accounting.
 
     Call step() once per pixel (an int in 0..255, else LayoutError) in
-    row-major order, then finish(). The polar stage is a lookup in the
-    memoized PolarTable, exhaustively equal to the scalar CORDIC core. A
-    ring's fill never drops within a frame, so the peak buffer occupancy
-    of the memory-bound check is the rings' current fill; the table is
-    constant data and deliberately not counted.
+    row-major order, then finish(). The polar and voting stages are one
+    read of the memoized vote table. A ring's fill never drops within a
+    frame, so the peak buffer occupancy of the memory-bound check is the
+    rings' current fill; the tables are constant data and deliberately
+    not counted.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         cc, cr = cells_per_frame(cfg.width, cfg.height)
-        self._polar = polar_table(cfg.cordic)
+        self._votes = vote_table(cfg.cordic)
         self._grad = GradientStage(cfg.width, cfg.height)
         self._cells = CellAccumulator(cfg.width, cfg.height)
         self._blocks = BlockAssembler(cc, cfg.epsilon)
@@ -181,14 +182,17 @@ class StreamingPipeline:
 
     def _advance(self, g: tuple[int, int]) -> None:
         gx, gy = g
-        mag, ang = self._polar.lookup(gx, gy)
-        lo, hi, lo_w, hi_w = vote_raw(mag, ang)
+        i = grid_index(gx, gy)
+        t = self._votes
+        lo, hi = int(t.lo_bin[i]), int(t.hi_bin[i])
+        lo_w, hi_w = int(t.lo_weight[i]), int(t.hi_weight[i])
         cap = self._captures
         if cap:
             r, c = divmod(self._grad.emitted - 1, self.cfg.width)
             if Tap.GRADIENTS in cap:
                 cap[Tap.GRADIENTS].append(GradientPair(gx, gy, r, c))
             if Tap.POLAR in cap:
+                mag, ang = polar_table(self.cfg.cordic).lookup(gx, gy)
                 cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
             if Tap.VOTES in cap:
                 cap[Tap.VOTES].append(BinVote(lo, hi, lo_w, hi_w, r, c))
@@ -249,19 +253,12 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
 
-    gx, gy = frame_gradients(luma)
-    votes = vote_table(cfg.cordic)
-    flat = grid_index(gx.ravel(), gy.ravel())
-    base = cell_bin_base(w, h)
-    # weights are integers well under 2^53, so float64 bincount is exact
-    counts = np.bincount(
-        base + votes.lo_bin[flat], weights=votes.lo_weight[flat],
-        minlength=cr * cc * BIN_COUNT,
-    )
-    counts += np.bincount(
-        base + votes.hi_bin[flat], weights=votes.hi_weight[flat],
-        minlength=cr * cc * BIN_COUNT,
-    )
+    votes = frame_votes(luma, vote_table(cfg.cordic))
+    n = cr * cc * BIN_COUNT
+    # weights are integers well under 2^53, so float64 bincount is exact;
+    # one side's arrays are freed before the next side is gathered
+    counts = np.bincount(*next(votes), minlength=n)
+    counts += np.bincount(*next(votes), minlength=n)
     cells = counts.astype(np.int64).reshape(cr, cc, BIN_COUNT)
     blocks = normalize_grid(cells, cfg.epsilon)
 

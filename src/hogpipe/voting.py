@@ -12,9 +12,10 @@ reciprocal, round(2^24 / 20) = 838861. Twenty-four fractional bits keep the
 worst-case weight error under one MAG ulp against a real-valued voter even
 at the maximum magnitude; the narrower 16-bit reciprocal provably cannot.
 The high weight is rounded to nearest even from the raw product by
-fixq.rne_shift. vote_raw is the one voter: the streaming model calls it
-per pixel on Python ints, VoteTable runs it once over the whole polar
-table.
+fixq.rne_shift. vote_raw is the one fixed-point voter. Its one caller,
+vote_table, runs it once over the polar table; the streaming (per pixel)
+and vectorized (per frame) paths both read that vote table. VoteTable is
+the one table type over the gradient grid; the golden model fills it too.
 """
 
 from functools import lru_cache
@@ -46,23 +47,22 @@ def vote_raw(mag, ang):
 
 
 class VoteTable:
-    """Memoized votes over the full gradient grid.
+    """Votes for every (gx, gy) pair of the gradient grid.
 
-    For every (gx, gy) pair the two bin indices and the two raw weights,
-    laid out like the PolarTable for flat gathers at cordic.grid_index. Weights
-    are stored as float64 so histogram bincounts need no conversion pass;
-    the values are integers far below 2^53, so nothing is lost.
+    The two bin indices (int32) and the two weights (float64), laid out
+    like the PolarTable for flat gathers at cordic.grid_index. Fixed-point
+    weights are integers far below 2^53, so float64 holds them exactly and
+    histogram bincounts need no conversion pass.
     """
 
-    def __init__(self, cfg: CordicConfig):
-        polar = polar_table(cfg)
-        lo, hi, lo_w, hi_w = vote_raw(polar.mag_raw, polar.ang_raw)
-        self.lo_bin = lo.astype(np.int32)
-        self.hi_bin = hi.astype(np.int32)
-        self.lo_weight = lo_w.astype(np.float64)
-        self.hi_weight = hi_w.astype(np.float64)
+    def __init__(self, lo_bin, hi_bin, lo_weight, hi_weight):
+        self.lo_bin = lo_bin.astype(np.int32, copy=False)
+        self.hi_bin = hi_bin.astype(np.int32, copy=False)
+        self.lo_weight = lo_weight.astype(np.float64, copy=False)
+        self.hi_weight = hi_weight.astype(np.float64, copy=False)
 
 
 @lru_cache(maxsize=4)
 def vote_table(cfg: CordicConfig) -> VoteTable:
-    return VoteTable(cfg)
+    polar = polar_table(cfg)
+    return VoteTable(*vote_raw(polar.mag_raw, polar.ang_raw))

@@ -177,6 +177,16 @@ def test_compare_zero_threshold_fails_on_noise(tmp_path, capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "-inf"])
+def test_compare_bad_threshold_exits_2(tmp_path, threshold, capsys):
+    # a NaN or negative threshold would report a mismatch on every frame
+    src, _ = pgm(tmp_path, (16, 16), seed=6)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["compare", "--input", str(src), "--threshold", threshold])
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_compare_constant_image_is_exact(tmp_path, capsys):
     src = tmp_path / "flat.pgm"
     write_pgm(src, np.full((16, 16), 77, dtype=np.uint8))

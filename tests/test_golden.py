@@ -163,11 +163,17 @@ def test_vote_weight_check_rejects_weights_off_the_limb_grid(bad):
 
 def test_golden_table_is_not_built_by_import_or_the_fixed_path():
     # the golden table is built on the first golden call, so importing the
-    # package and building the fixed path's vote table leave it empty
+    # package, building the fixed path's vote table and running both fixed
+    # paths (the streaming one reads the vote table per pixel) leave it empty
     code = (
+        "import numpy as np\n"
         "import hogpipe\n"
-        "from hogpipe import golden, voting\n"
+        "from hogpipe import golden, pipeline, voting\n"
         "voting.vote_table(hogpipe.CordicConfig())\n"
+        "luma = np.random.default_rng(0).integers(0, 256, (16, 16), dtype=np.uint8)\n"
+        "cfg = pipeline.PipelineConfig(16, 16)\n"
+        "pipeline.run_frame(luma, cfg)\n"
+        "pipeline.run_frame_fast(luma, cfg)\n"
         "print(golden.golden_vote_table.cache_info().currsize)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -8,16 +8,19 @@ from hogpipe.ingest import load_luma
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def script(name, *args, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=env, check=check,
     )
-    return proc.stdout.splitlines()
+
+
+def run_script(name, *args):
+    return script(name, *args).stdout.splitlines()
 
 
 def test_accuracy_sweep_prints_table_and_corpus_mean():
@@ -38,6 +41,13 @@ def test_cordic_sweep_covers_the_grid_within_angle_bound():
     assert report["iterations"] == "14"
     assert report["inputs"] == "261121"
     assert 0.0 < float(report["max angle err (deg)"]) <= 0.01
+
+
+def test_cordic_sweep_refuses_too_few_iterations_with_usage_error():
+    proc = script("cordic_sweep.py", "--iterations", "13", check=False)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_make_test_images_writes_decodable_frames(tmp_path):

@@ -2,10 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cordic import CordicConfig, polar_raw_arrays, polar_table
+from hogpipe.cordic import (
+    GRID_SIDE,
+    CordicConfig,
+    polar_raw,
+    polar_raw_arrays,
+    polar_table,
+)
 from hogpipe.fixq import ANG, MAG, quantize
-from hogpipe.pipeline import BinVote, PolarGradient
-from hogpipe.voting import BIN_COUNT, vote_raw, vote_table
+from hogpipe.golden import golden_vote_table
+from hogpipe.pipeline import (
+    BinVote,
+    PipelineConfig,
+    PolarGradient,
+    StreamingPipeline,
+    Tap,
+)
+from hogpipe.voting import BIN_COUNT, VoteTable, vote_raw, vote_table
 from oracles import ref_vote
 
 
@@ -131,3 +144,50 @@ def test_scalar_matches_reference_voter(gx, gy):
     if lo == v.lo_bin:
         assert abs(v.hi_weight / MAG.scale - hi_w) <= 1.0 / MAG.scale
         assert abs(v.lo_weight / MAG.scale - lo_w) <= 1.0 / MAG.scale
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param(lambda: vote_table(CordicConfig()), id="fixed"),
+    pytest.param(golden_vote_table, id="golden"),
+])
+def test_fixed_and_golden_tables_share_one_type_and_layout(table):
+    t = table()
+    assert type(t) is VoteTable
+    for name in ("lo_bin", "hi_bin"):
+        assert getattr(t, name).dtype == np.int32
+    for name in ("lo_weight", "hi_weight"):
+        assert getattr(t, name).dtype == np.float64
+    for arr in vars(t).values():
+        assert arr.shape == (GRID_SIDE**2,)
+
+
+def _frame_with_gradient(gx: int, gy: int) -> np.ndarray:
+    """A 16x16 frame whose pixel (8, 8) has gradient (gx, gy)."""
+    luma = np.zeros((16, 16), dtype=np.uint8)
+    left, up = max(0, -gx), max(0, -gy)
+    luma[8, 7], luma[8, 9] = left, left + gx
+    luma[7, 8], luma[9, 8] = up, up + gy
+    return luma
+
+
+@pytest.mark.parametrize("iterations", [16, 14])
+@pytest.mark.parametrize("gx, gy", [
+    (0, 0), (255, 255), (255, -255), (-255, 255), (-255, -255),
+    (1, 0), (-1, 0), (17, -252),
+])
+def test_streaming_vote_read_equals_the_scalar_voter(iterations, gx, gy):
+    cfg = CordicConfig(iterations=iterations)
+    luma = _frame_with_gradient(gx, gy)
+    pipe = StreamingPipeline(
+        PipelineConfig(16, 16, cordic=cfg, taps={Tap.GRADIENTS, Tap.VOTES})
+    )
+    for px in luma.ravel().tolist():
+        pipe.step(px)
+    pipe.finish()
+    i = 8 * 16 + 8
+    g = pipe.captures(Tap.GRADIENTS)[i]
+    assert (g.gx, g.gy, g.row, g.col) == (gx, gy, 8, 8)
+    v = pipe.captures(Tap.VOTES)[i]
+    want = vote_raw(*polar_raw(gx, gy, cfg)[:2])
+    assert (v.lo_bin, v.hi_bin, v.lo_weight, v.hi_weight) == want
+    assert all(type(x) is int for x in (v.lo_bin, v.hi_bin, v.lo_weight, v.hi_weight))
