@@ -18,9 +18,11 @@ negative angles gain 180, and 180 itself is 0.
 The scalar and array code paths perform identical integer operations and
 are exhaustively asserted equal (polar_raw is the oracle); both round
 through fixq.rne_shift. A PolarTable memoizes the full 511x511 gradient
-grid at grid_index; voting.vote_table votes it once for both the
-streaming and the vectorized path, and the streaming model reads the
-PolarTable itself only for its polar tap.
+grid at grid_index, built from the gx, gy >= 0 quadrant by the fold's two
+exact symmetries (magnitude by |gx|, |gy|; angle t to 180 - t where
+gx * gy < 0). voting.vote_table votes it once for both the streaming and
+the vectorized path; the streaming model reads the PolarTable itself only
+for its polar tap.
 """
 
 import math
@@ -163,27 +165,40 @@ def polar_raw_arrays(
     return mag, ang, precise
 
 
+def _unfold(q: np.ndarray) -> np.ndarray:
+    """Quadrant indexed [|gx|, |gy|] to the full grid, valued at |gx|, |gy|."""
+    q = np.concatenate([q[::-1], q[1:]])
+    return np.concatenate([q[:, ::-1], q[:, 1:]], axis=1)
+
+
 class PolarTable:
     """Memoized CORDIC over the full gradient grid, indexed by grid_index.
 
-    Pure-function memoization: lookups are exhaustively identical to the
-    scalar core. Constant data, not pipeline buffer state. The build
-    rejects a config whose largest magnitude overflows MAG, or whose full
-    cell of it would overflow CELL_ACC, so no later stage can saturate.
+    Pure-function memoization, built from one quadrant by the fold's two
+    exact symmetries: lookups are exhaustively identical to the scalar
+    core. Constant data, not pipeline buffer state. The build rejects a
+    config whose largest magnitude overflows MAG, or whose full cell of it
+    would overflow CELL_ACC, so no later stage can saturate.
     """
 
     def __init__(self, cfg: CordicConfig):
         from .cells import CELL_SIZE  # deferred: cells -> voting -> cordic
 
-        mag, ang, _ = polar_raw_arrays(*gradient_grid(), cfg)
+        # run the core on gx, gy >= 0 only; the quadrant holds the peak
+        mid = GRID_SIDE // 2  # grid position of a zero component
+        mag, ang, _ = polar_raw_arrays(*np.indices((mid + 1, mid + 1)), cfg)
         peak = int(mag.max())
         if peak > MAG.raw_max or CELL_SIZE * CELL_SIZE * peak > CELL_ACC.raw_max:
             raise ValueError(
                 f"peak magnitude {peak} raw overflows MAG or a "
                 f"{CELL_SIZE}x{CELL_SIZE} cell of CELL_ACC"
             )
-        self.mag_raw = mag
-        self.ang_raw = ang
+        mag, ang = _unfold(mag), _unfold(ang)
+        # where gx * gy < 0 the core mirrors x: angle t becomes 180 - t
+        ang[:mid, mid + 1 :] = (RAW_180 - ang[:mid, mid + 1 :]) % RAW_180
+        ang[mid + 1 :, :mid] = (RAW_180 - ang[mid + 1 :, :mid]) % RAW_180
+        self.mag_raw = mag.ravel()
+        self.ang_raw = ang.ravel()
 
     def lookup(self, gx: int, gy: int) -> tuple[int, int]:
         i = grid_index(gx, gy)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hogpipe import cordic
 from hogpipe.cordic import (
     GRID_SIDE,
     CordicConfig,
@@ -125,6 +126,37 @@ def test_table_matches_scalar_lookups():
     for gx, gy in [(0, 0), (3, 4), (-255, 255), (1, 0), (-1, 0), (17, -252)]:
         m, a, _ = polar_raw(gx, gy, CFG)
         assert table.lookup(gx, gy) == (m, a)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [CordicConfig(14), CordicConfig(16), CordicConfig(20), CordicConfig(gain_reciprocal=1 << 16)],
+    ids=["it14", "it16", "it20", "unit_gain"],
+)
+def test_table_equals_core_on_full_grid(cfg):
+    table = polar_table(cfg)
+    mag, ang, _ = polar_raw_arrays(*gradient_grid(), cfg)
+    for got, want in ((table.mag_raw, mag), (table.ang_raw, ang)):
+        assert got.dtype == np.int64 and got.shape == (GRID_SIDE**2,)
+        assert np.array_equal(got, want)
+
+
+def test_table_runs_core_once_on_one_quadrant(monkeypatch):
+    sizes = []
+    core = cordic.polar_raw_arrays
+
+    def counted(gx, gy, cfg):
+        sizes.append(gx.size)
+        return core(gx, gy, cfg)
+
+    monkeypatch.setattr(cordic, "polar_raw_arrays", counted)
+    polar_table.cache_clear()
+    polar_table(CFG)
+    assert sizes == [256 * 256]
+    # the headroom check reads the quadrant's peak, which is the grid's
+    with pytest.raises(ValueError, match="overflows MAG"):
+        polar_table(CordicConfig(gain_reciprocal=3 * 65536))
+    assert sizes == [256 * 256] * 2
 
 
 def test_table_build_checks_headroom():
