@@ -12,17 +12,21 @@ row-major order, so a cell's position is its emission count.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow. frame_votes is the
-one whole-frame vote gather, for the vectorized and golden paths.
+one array vote gather, for the vectorized and golden paths; as line buffers
+do, it works in strips of cell rows, in one workspace per frame shape.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from .cordic import grid_index
+from .cordic import GRID_SIDE, grid_index
 from .errors import DimensionError
-from .gradient import frame_gradients
+from .gradient import frame_gradients, pad_frame
 from .voting import BIN_COUNT, VoteTable
 
 CELL_SIZE = 8
+STRIP_CELL_ROWS = 8  # cell rows per frame_votes strip: 64 pixel rows
 
 
 def cells_per_frame(width: int, height: int) -> tuple[int, int]:
@@ -36,17 +40,49 @@ def cells_per_frame(width: int, height: int) -> tuple[int, int]:
     return width // CELL_SIZE, height // CELL_SIZE
 
 
+@lru_cache(maxsize=4)  # one instance per frame shape
+class _Workspace:
+    """One frame shape's padded frame and, for one strip, buffers a pixel each."""
+
+    def __init__(self, h: int, w: int):
+        n = min(h, STRIP_CELL_ROWS * CELL_SIZE) * w
+        self.padded = np.empty((h + 2, w + 2), dtype=np.int16)
+        self.flat, self.keys = np.empty((2, n // w, w), dtype=np.intp)
+        r = np.arange(n // w, dtype=np.int32)[:, None] // CELL_SIZE * (w // CELL_SIZE)
+        self.base = ((r + np.arange(w, dtype=np.int32) // CELL_SIZE) * BIN_COUNT).ravel()
+        self.bins, self.narrow, self.wide = (np.empty(n, t) for t in (np.int8, np.uint16, float))
+
+
 def frame_votes(luma: np.ndarray, table: VoteTable):
-    """Yield (keys, weights) of every pixel's low vote, then of its high
-    vote: the weight the table holds for the pixel's gradient, keyed by
-    the voted bin's flat index in a (rows, cols, 9) cell grid."""
-    h, w = luma.shape
-    cols, _ = cells_per_frame(w, h)
-    flat = grid_index(*frame_gradients(luma)).ravel()
-    rows = np.arange(h, dtype=np.int32)[:, None] // CELL_SIZE * cols
-    base = ((rows + np.arange(w, dtype=np.int32) // CELL_SIZE) * BIN_COUNT).ravel()
-    yield base + table.lo_bin[flat], table.lo_weight[flat]
-    yield base + table.hi_bin[flat], table.hi_weight[flat]
+    """Per strip of STRIP_CELL_ROWS cell rows, yield (rows, keys, weights) of
+    its pixels' low votes, then high votes: the strip's cell rows, each vote's
+    key in that slice of a (rows, cols, 9) grid and float64 weight. Views into
+    the shape's shared workspace: consume each first; not thread-safe."""
+    h, w = luma.shape  # cells_per_frame(w, h) checked by the caller
+    ws = _Workspace(h, w)
+    pad_frame(luma, ws.padded)
+    for top in range(0, h // CELL_SIZE, STRIP_CELL_ROWS):
+        rows = slice(top, min(top + STRIP_CELL_ROWS, h // CELL_SIZE))
+        n = (rows.stop - top) * CELL_SIZE * w
+        gx, gy = ws.flat[: n // w], ws.keys[: n // w]
+        frame_gradients(ws.padded, top * CELL_SIZE, gx, gy)
+        # grid_index is linear: gx * GRID_SIDE + gy + grid_index(0, 0)
+        np.add(np.multiply(gx, GRID_SIDE, out=gx), gy, out=gx)
+        flat = np.add(gx, grid_index(0, 0), out=gx).ravel()
+        keys, wide = ws.keys.reshape(-1)[:n], ws.wide[:n]
+        for bins, weights in ((table.lo_bin, table.lo_weight), (table.hi_bin, table.hi_weight)):
+            # flat is in range; raise mode would take through a temporary
+            np.add(ws.base[:n], np.take(bins, flat, out=ws.bins[:n], mode="clip"), out=keys)
+            buf = wide if weights.dtype == wide.dtype else ws.narrow[:n]
+            np.copyto(wide, np.take(weights, flat, out=buf, mode="clip"))  # no-op if wide
+            yield rows, keys, wide
+
+
+def add_votes(grid: np.ndarray, rows: slice, keys: np.ndarray, weights: np.ndarray) -> None:
+    """Add one frame_votes strip's per-key weight totals into grid[rows]."""
+    strip = grid[rows]
+    totals = np.bincount(keys, weights, strip.size).reshape(strip.shape)
+    np.add(strip, totals, out=strip, casting="unsafe")  # exact: fixed weights are integers
 
 
 class CellAccumulator:

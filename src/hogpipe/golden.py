@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
-from .cells import cells_per_frame, frame_votes
+from .cells import add_votes, cells_per_frame, frame_votes
 from .cordic import gradient_grid
 from .errors import ShapeMismatch
 from .fixq import MAG
@@ -84,17 +84,16 @@ def golden_polar(
 LIMB_BITS = 26
 
 
-def exact_bincount(pairs, n: int) -> np.ndarray:
-    """Per-key totals of (keys, weights) pairs, rounded once from the exact sum."""
-    coarse = fine = 0.0
-    for keys, weights in pairs:
-        limb = np.floor(weights * 2.0**LIMB_BITS) / 2.0**LIMB_BITS
-        coarse = coarse + np.bincount(keys, weights=limb, minlength=n)
-        np.subtract(weights, limb, out=limb)  # the fine limb, same buffer
-        fine = fine + np.bincount(keys, weights=limb, minlength=n)
-        # free this pair before the next is made: with fewer frame-sized
-        # arrays alive the heap need not grow, and be trimmed, every frame
-        del keys, weights, limb
+def exact_bincount(votes, shape) -> np.ndarray:
+    """Per-key totals of frame_votes strips in a grid of the given shape, rounded
+    once from the exact sum; each strip's weights are overwritten by a limb."""
+    coarse, fine, part = np.zeros(shape), np.zeros(shape), None
+    for rows, keys, weights in votes:
+        # one limb buffer, sized by the first strip: no later one is larger
+        part = np.empty_like(weights) if part is None else part[: weights.size]
+        np.floor(np.multiply(weights, 2.0**LIMB_BITS, out=part), out=part)
+        add_votes(coarse, rows, keys, np.multiply(part, 2.0**-LIMB_BITS, out=part))
+        add_votes(fine, rows, keys, np.subtract(weights, part, out=weights))
     return coarse + fine
 
 
@@ -163,8 +162,7 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     luma = luma8(luma)
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
-    votes = frame_votes(luma, golden_vote_table())
-    cells = exact_bincount(votes, cr * cc * BIN_COUNT).reshape(cr, cc, BIN_COUNT)
+    cells = exact_bincount(frame_votes(luma, golden_vote_table()), (cr, cc, BIN_COUNT))
     quads = block_quads(cells)
     denom = np.sqrt(exact_square_sums(quads) + epsilon * epsilon)
     blocks = quads / denom[..., None]

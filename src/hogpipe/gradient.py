@@ -17,8 +17,8 @@ steps to flush the tail; a W x H frame yields exactly W*H pairs over
 W*H + latency steps. A pixel that is not an integer in 0..255 is refused
 with LayoutError, as luma8 refuses a whole frame.
 
-warmup_steps is the one latency formula and frame_gradients the one
-whole-frame difference; the vectorized path and the golden model use them.
+warmup_steps is the one latency formula and frame_gradients the one array
+difference (on pad_frame's output); the vectorized and golden paths use them.
 """
 
 import operator
@@ -45,14 +45,18 @@ def luma8(luma) -> np.ndarray:
     return luma
 
 
-def frame_gradients(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gx, gy) of a whole 8-bit frame as (height, width) int32 arrays,
-    with the stage's replicate-edge border policy."""
-    # int16 keeps pad and subtraction narrow; int32 leaves room for grid_index
-    p = np.pad(luma.astype(np.int16), 1, mode="edge")
-    gx = (p[1:-1, 2:] - p[1:-1, :-2]).astype(np.int32)
-    gy = (p[2:, 1:-1] - p[:-2, 1:-1]).astype(np.int32)
-    return gx, gy
+def pad_frame(luma: np.ndarray, out: np.ndarray) -> None:
+    """Copy the frame into out, one pixel larger per side, replicating edges."""
+    out[1:-1, 1:-1] = luma
+    out[0], out[-1] = out[1], out[-2]
+    out[:, 0], out[:, -1] = out[:, 1], out[:, -2]
+
+
+def frame_gradients(padded: np.ndarray, top: int, gx: np.ndarray, gy: np.ndarray) -> None:
+    """(gx, gy) of the frame's rows from `top` on, into gx and gy; reads pad_frame's out."""
+    p = padded[top : top + gx.shape[0] + 2]
+    np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=gx)
+    np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=gy)
 
 
 class GradientStage:

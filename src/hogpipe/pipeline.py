@@ -17,10 +17,10 @@ are defined here and built, with that position, only when a Tap asks.
 run_frame is the instrumented streaming path; its polar and voting
 stages read the memoized vote table one pixel at a time (the polar table
 only for the polar tap). run_frame_fast computes the identical HogFrame
-with whole-frame array arithmetic (cells.frame_votes over the same
-table, bincount histograms); every stage of it is integer-identical to
-the scalar datapath, so the two outputs match element-exactly. It owns
-no datapath decision: each comes from its stage's module.
+with array arithmetic (cells.frame_votes strips over the same table,
+bincount histograms; not thread-safe); every stage of it is integer-
+identical to the scalar datapath, so the two outputs match element-exactly.
+It owns no datapath decision: each comes from its stage's module.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +36,7 @@ from .blocks import (
     block_count,
     normalize_grid,
 )
-from .cells import CellAccumulator, cells_per_frame, frame_votes
+from .cells import CellAccumulator, add_votes, cells_per_frame, frame_votes
 from .cordic import CordicConfig, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
 from .gradient import GradientStage, luma8, warmup_steps
@@ -136,7 +136,8 @@ class StreamingPipeline:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         cc, cr = cells_per_frame(cfg.width, cfg.height)
-        self._votes = vote_table(cfg.cordic)
+        t = vote_table(cfg.cordic)  # memoryviews read back Python ints
+        self._votes = tuple(map(memoryview, (t.lo_bin, t.hi_bin, t.lo_weight, t.hi_weight)))
         self._grad = GradientStage(cfg.width, cfg.height)
         self._cells = CellAccumulator(cfg.width, cfg.height)
         self._blocks = BlockAssembler(cc, cfg.epsilon)
@@ -183,9 +184,8 @@ class StreamingPipeline:
     def _advance(self, g: tuple[int, int]) -> None:
         gx, gy = g
         i = grid_index(gx, gy)
-        t = self._votes
-        lo, hi = int(t.lo_bin[i]), int(t.hi_bin[i])
-        lo_w, hi_w = int(t.lo_weight[i]), int(t.hi_weight[i])
+        lo_bins, hi_bins, lo_weights, hi_weights = self._votes
+        lo, hi, lo_w, hi_w = lo_bins[i], hi_bins[i], lo_weights[i], hi_weights[i]
         cap = self._captures
         if cap:
             r, c = divmod(self._grad.emitted - 1, self.cfg.width)
@@ -253,13 +253,10 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
 
-    votes = frame_votes(luma, vote_table(cfg.cordic))
-    n = cr * cc * BIN_COUNT
-    # weights are integers well under 2^53, so float64 bincount is exact;
-    # one side's arrays are freed before the next side is gathered
-    counts = np.bincount(*next(votes), minlength=n)
-    counts += np.bincount(*next(votes), minlength=n)
-    cells = counts.astype(np.int64).reshape(cr, cc, BIN_COUNT)
+    # fresh per frame: the result never aliases frame_votes' workspace
+    cells = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
+    for votes in frame_votes(luma, vote_table(cfg.cordic)):
+        add_votes(cells, *votes)
     blocks = normalize_grid(cells, cfg.epsilon)
 
     stats = RunStats(

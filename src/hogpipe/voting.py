@@ -49,20 +49,25 @@ def vote_raw(mag, ang):
 class VoteTable:
     """Votes for every (gx, gy) pair of the gradient grid.
 
-    The two bin indices (int32) and the two weights (float64), laid out
-    like the PolarTable for flat gathers at cordic.grid_index. Fixed-point
-    weights are integers far below 2^53, so float64 holds them exactly and
-    histogram bincounts need no conversion pass.
+    The two bin indices as int8 and the two weights in the builder's dtype
+    (uint16 MAG raw in vote_table, so it fits a core's L2; float64 in the
+    golden model), laid out like the PolarTable for cordic.grid_index.
     """
 
     def __init__(self, lo_bin, hi_bin, lo_weight, hi_weight):
-        self.lo_bin = lo_bin.astype(np.int32, copy=False)
-        self.hi_bin = hi_bin.astype(np.int32, copy=False)
-        self.lo_weight = lo_weight.astype(np.float64, copy=False)
-        self.hi_weight = hi_weight.astype(np.float64, copy=False)
+        self.lo_bin, self.hi_bin = lo_bin.astype(np.int8), hi_bin.astype(np.int8)
+        self.lo_weight, self.hi_weight = lo_weight, hi_weight
+
+
+def uint16_weights(weights: np.ndarray) -> np.ndarray:
+    """MAG raw weights as uint16; ValueError, not wraparound, if one is outside."""
+    if weights.size and not 0 <= weights.min() <= weights.max() <= np.iinfo(np.uint16).max:
+        raise ValueError("vote weights do not fit uint16")
+    return weights.astype(np.uint16)
 
 
 @lru_cache(maxsize=4)
 def vote_table(cfg: CordicConfig) -> VoteTable:
     polar = polar_table(cfg)
-    return VoteTable(*vote_raw(polar.mag_raw, polar.ang_raw))
+    lo, hi, *weights = vote_raw(polar.mag_raw, polar.ang_raw)
+    return VoteTable(lo, hi, *map(uint16_weights, weights))

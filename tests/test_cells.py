@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cells import CellAccumulator, cells_per_frame
+from hogpipe.cells import STRIP_CELL_ROWS, CellAccumulator, cells_per_frame
 from hogpipe.cordic import CordicConfig, polar_raw, polar_table
 from hogpipe.errors import DimensionError
+from hogpipe.golden import golden_hog
 from hogpipe.gradient import GradientStage
+from hogpipe.pipeline import PipelineConfig, run_frame_fast
 from hogpipe.voting import vote_raw
-from oracles import ref_gradients
+from oracles import ref_batch_fixed, ref_gradients, ref_hog
 
 
 def synth_vote(lo_bin=0, lo_w=0, hi_w=0):
@@ -128,3 +130,43 @@ def test_mass_conservation_random_votes(seed, width, height):
                 hists.append(h)
     assert len(hists) == (width // 8) * (height // 8)
     assert sum(sum(h) for h in hists) == total_in
+
+
+# cell-row counts that are not a multiple of the frame_votes strip height
+# (one partial strip, one full strip plus a partial one, several strips
+# plus a partial one), and one frame wider than VGA
+_STRIP_SHAPES = [
+    ((STRIP_CELL_ROWS - 3) * 8, 32),
+    ((STRIP_CELL_ROWS + 1) * 8, 24),
+    ((2 * STRIP_CELL_ROWS + 3) * 8, 16),
+    (16, 648),
+]
+
+
+@pytest.mark.parametrize("h, w", _STRIP_SHAPES)
+def test_strip_gather_matches_the_oracles(h, w):
+    luma = np.random.default_rng(h * w).integers(0, 256, (h, w), dtype=np.uint8)
+    hog, _ = run_frame_fast(luma, PipelineConfig(w, h))
+    cells, blocks = ref_batch_fixed(luma, CordicConfig())
+    assert np.array_equal(hog.cells, cells)
+    assert np.array_equal(hog.blocks, blocks)
+    gold = golden_hog(luma)
+    cells, blocks = ref_hog(luma)
+    assert np.array_equal(gold.cells, cells)
+    assert np.array_equal(gold.blocks, blocks)
+
+
+def test_outputs_never_alias_the_workspace():
+    # a later call on the same shape, then on another, refills the shape's
+    # one workspace; the first call's outputs must not change with it
+    rng = np.random.default_rng(3)
+    shapes = ((80, 32), (80, 32), (24, 40))
+    frames = [rng.integers(0, 256, shape, dtype=np.uint8) for shape in shapes]
+    first = run_frame_fast(frames[0], PipelineConfig(32, 80))[0], golden_hog(frames[0])
+    arrays = [a for out in first for a in (out.cells, out.blocks)]
+    kept = [a.copy() for a in arrays]
+    for luma in frames[1:]:
+        run_frame_fast(luma, PipelineConfig(luma.shape[1], luma.shape[0]))
+        golden_hog(luma)
+    for a, b in zip(arrays, kept):
+        assert np.array_equal(a, b)

@@ -192,11 +192,15 @@ def test_exact_bincount_is_fsum_on_worst_case_bins(low, high):
     # widest) or all near the smallest nonzero one (fine limb at its
     # widest); a limb split outside 14..38 bits rounds some of these totals
     rng = np.random.default_rng(0)
+    # two strips of 1000 keys, each fed both halves of its keys' votes
     weights = rng.uniform(low, high, size=(2000, 64))
-    keys = np.repeat(np.arange(2000), 32)
-    got = exact_bincount(
-        [(keys, weights[:, :32].ravel()), (keys, weights[:, 32:].ravel())], 2000
-    )
+    keys = np.repeat(np.arange(1000), 32)
+    strips = [
+        (rows, keys, weights[rows, half].ravel())
+        for rows in (slice(0, 1000), slice(1000, 2000))
+        for half in (slice(0, 32), slice(32, 64))
+    ]
+    got = exact_bincount(strips, (2000,))
     want = [math.fsum(row) for row in weights.tolist()]
     assert np.array_equal(got, want)
 

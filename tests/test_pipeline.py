@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hogpipe.pipeline import (
     run_frame,
     run_frame_fast,
 )
+from hogpipe.textures import uniform_noise
 from hogpipe.voting import vote_raw
 from oracles import ref_batch_fixed, ref_gradients
 
@@ -151,6 +153,22 @@ def test_fast_path_is_bit_identical(shape):
     assert np.array_equal(slow_hog.cells, fast_hog.cells)
     assert np.array_equal(slow_hog.blocks, fast_hog.blocks)
     assert slow_stats == fast_stats
+
+
+def test_warm_fast_path_allocates_little_per_vga_frame():
+    # the gather runs in strips through one workspace per shape; a warm
+    # frame allocates its outputs (0.35 MB of cells, 1.34 MB of blocks)
+    # and strip-sized temporaries, not a frame-sized array per stage
+    luma = uniform_noise(640, 480, seed=1)
+    cfg = PipelineConfig(640, 480)
+    run_frame_fast(luma, cfg)
+    tracemalloc.start()
+    try:
+        run_frame_fast(luma, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_same_frame_twice_is_deterministic():

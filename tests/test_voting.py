@@ -18,7 +18,7 @@ from hogpipe.pipeline import (
     StreamingPipeline,
     Tap,
 )
-from hogpipe.voting import BIN_COUNT, VoteTable, vote_raw, vote_table
+from hogpipe.voting import BIN_COUNT, VoteTable, uint16_weights, vote_raw, vote_table
 from oracles import ref_vote
 
 
@@ -146,19 +146,35 @@ def test_scalar_matches_reference_voter(gx, gy):
         assert abs(v.lo_weight / MAG.scale - lo_w) <= 1.0 / MAG.scale
 
 
-@pytest.mark.parametrize("table", [
-    pytest.param(lambda: vote_table(CordicConfig()), id="fixed"),
-    pytest.param(golden_vote_table, id="golden"),
+@pytest.mark.parametrize("table, weight_dtype", [
+    pytest.param(lambda: vote_table(CordicConfig()), np.uint16, id="fixed"),
+    pytest.param(golden_vote_table, np.float64, id="golden"),
 ])
-def test_fixed_and_golden_tables_share_one_type_and_layout(table):
+def test_fixed_and_golden_tables_share_one_type_and_layout(table, weight_dtype):
+    # int8 bins for both; uint16 fixed weights keep the fixed table in L2,
+    # float64 golden weights feed exact_bincount
     t = table()
     assert type(t) is VoteTable
     for name in ("lo_bin", "hi_bin"):
-        assert getattr(t, name).dtype == np.int32
+        assert getattr(t, name).dtype == np.int8
     for name in ("lo_weight", "hi_weight"):
-        assert getattr(t, name).dtype == np.float64
+        assert getattr(t, name).dtype == weight_dtype
     for arr in vars(t).values():
         assert arr.shape == (GRID_SIDE**2,)
+
+
+@pytest.mark.parametrize("bad", [-1, 65536, 114021])
+def test_uint16_weights_refuses_weights_outside_uint16(bad):
+    ok = np.array([0, 1, 23080, 65535], dtype=np.int64)
+    assert np.array_equal(uint16_weights(ok), ok)
+    with pytest.raises(ValueError, match="uint16"):
+        uint16_weights(np.append(ok, bad))
+
+
+def test_vote_table_refuses_a_config_that_overflows_mag():
+    # MAG's headroom check is what bounds every fixed weight by 65,535
+    with pytest.raises(ValueError, match="overflows MAG"):
+        vote_table(CordicConfig(gain_reciprocal=3 * 65536))
 
 
 def _frame_with_gradient(gx: int, gy: int) -> np.ndarray:
