@@ -26,7 +26,7 @@ def main() -> None:
     rows = []
     for name, luma in make_corpus(args.count, args.width, args.height, args.seed):
         hog, _ = run_frame_fast(luma, cfg)
-        rep = compare(hog, golden_hog(luma, cfg.epsilon))
+        rep = compare(hog, golden_hog(luma))
         rows.append((rep.mean_rel_err, rep.max_abs_err, name))
 
     rows.sort(reverse=True)

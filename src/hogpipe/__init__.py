@@ -14,7 +14,7 @@ from .errors import (
     ShapeMismatch,
     TapNotEnabled,
 )
-from .fixq import ANG, CELL_ACC, GRAD, MAG, QFormat, QValue
+from .fixq import ANG, CELL_ACC, MAG, QFormat
 from .golden import DiffReport, GoldenHog, compare, golden_hog
 from .ingest import GrayFrame, decode_image, load_luma
 from .pipeline import (
@@ -41,7 +41,6 @@ __all__ = [
     "DimensionError",
     "FormatError",
     "FormatMismatch",
-    "GRAD",
     "GoldenHog",
     "GrayFrame",
     "HogFrame",
@@ -51,7 +50,6 @@ __all__ = [
     "PipelineConfig",
     "PolarGradient",
     "QFormat",
-    "QValue",
     "RunStats",
     "ShapeMismatch",
     "StreamingPipeline",

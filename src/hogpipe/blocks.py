@@ -44,11 +44,11 @@ def block_quads(cells: np.ndarray) -> np.ndarray:
     )
 
 
-def normalize_grid(cells: np.ndarray, epsilon: float = BLOCK_EPSILON) -> np.ndarray:
+def normalize_grid(cells: np.ndarray) -> np.ndarray:
     """Every overlapping 2x2 block of a raw (rows, cols, 9) cell grid,
     L2-normalized: a (rows - 1, cols - 1, 36) float64 array."""
     quads = block_quads(cells.astype(np.float64) / MAG.scale)
-    denom = np.sqrt(np.sum(np.square(quads), axis=2) + epsilon * epsilon)
+    denom = np.sqrt(np.sum(np.square(quads), axis=2) + BLOCK_EPSILON * BLOCK_EPSILON)
     return quads / denom[..., None]
 
 
@@ -56,11 +56,10 @@ class BlockAssembler:
     """Turns a row-major stream of cell bins into a row-major stream of
     normalized blocks, through a ring of cells_cols + 1 cells."""
 
-    def __init__(self, cells_cols: int, epsilon: float = BLOCK_EPSILON):
+    def __init__(self, cells_cols: int):
         if cells_cols < 1:
             raise ShapeMismatch("need at least one cell column")
         self.cells_cols = cells_cols
-        self.epsilon = epsilon
         self._cap = cells_cols + 1
         self._ring: list = [None] * self._cap
         self._next = 0  # cells in so far; the next cell's row-major position
@@ -80,7 +79,7 @@ class BlockAssembler:
             # slot n % cap still holds cell n - cols - 1, the top-left
             tl, tr, bl = ring[n % cap], ring[(n - cols) % cap], ring[(n - 1) % cap]
             grid = np.array([[tl, tr], [bl, bins]], dtype=np.int64)
-            out = normalize_grid(grid, self.epsilon)[0, 0]
+            out = normalize_grid(grid)[0, 0]
         ring[n % cap] = bins
         return out
 

@@ -117,7 +117,7 @@ def cmd_extract(args) -> int:
     cfg = PipelineConfig(width=frame.width, height=frame.height)
     wc, hc = cells_per_frame(cfg.width, cfg.height)
     if args.golden:
-        g = golden_hog(frame.luma, cfg.epsilon)
+        g = golden_hog(frame.luma)
         cells, blocks = g.cells, g.blocks
         _print_stats(
             [
@@ -150,7 +150,7 @@ def cmd_compare(args) -> int:
     frame = load_luma(args.input)
     cfg = PipelineConfig(width=frame.width, height=frame.height)
     hog, _ = run_frame_fast(frame.luma, cfg)
-    gold = golden_hog(frame.luma, cfg.epsilon)
+    gold = golden_hog(frame.luma)
     report = compare(hog, gold, per_stage=True)
     print(report.as_text())
     return EXIT_OK if report.mean_rel_err <= args.threshold else EXIT_MISMATCH
@@ -201,11 +201,17 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an int, refused unless it is at least low."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _threshold(text: str) -> float:
@@ -235,14 +241,14 @@ def _parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="throughput on synthetic frames")
     be.add_argument("--width", type=int, required=True)
     be.add_argument("--height", type=int, required=True)
-    be.add_argument("--frames", type=_positive_int, required=True)
-    be.add_argument("--seed", type=int, default=0)
+    be.add_argument("--frames", type=_int_at_least(1), required=True)
+    be.add_argument("--seed", type=_int_at_least(0), default=0)
     be.set_defaults(func=cmd_bench)
 
     de = sub.add_parser("detect", help="sliding-window scoring to CSV")
     de.add_argument("--input", required=True)
     de.add_argument("--weights", required=True)
-    de.add_argument("--stride", type=_positive_int, default=1)
+    de.add_argument("--stride", type=_int_at_least(1), default=1)
     de.add_argument("--out")
     de.set_defaults(func=cmd_detect)
     return p

@@ -26,12 +26,12 @@ for its polar tap.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .fixq import ANG, CELL_ACC, MAG, quantize, rne_shift
+from .fixq import ANG, CELL_ACC, MAG, rne_shift
 
 RAW_180 = 180 * ANG.scale
 
@@ -62,26 +62,25 @@ def gradient_grid() -> tuple[np.ndarray, np.ndarray]:
 class CordicConfig:
     """Iteration count plus the derived angle table and gain reciprocal.
 
-    angle_table[i] is arctan(2^-i) in degrees quantized to ANG; the
-    reciprocal is 1/gain at 16 fractional bits, with the gain taken over
-    the configured number of iterations.
+    angle_table[i] is arctan(2^-i) in degrees rounded half to even to ANG
+    raw units, always derived from the iteration count. gain_reciprocal is
+    1/gain at 16 fractional bits, the gain taken over the configured number
+    of iterations; passing it overrides that, which only the polar table's
+    headroom refusal needs.
     """
 
     iterations: int = 16
-    angle_table: tuple[int, ...] = ()
+    angle_table: tuple[int, ...] = field(init=False)
     gain_reciprocal: int = 0
 
     def __post_init__(self) -> None:
         if self.iterations < 14:
             raise ValueError("need at least 14 iterations for the accuracy targets")
-        if not self.angle_table:
-            table = tuple(
-                quantize(math.degrees(math.atan(2.0**-i)), ANG).raw
-                for i in range(self.iterations)
-            )
-            object.__setattr__(self, "angle_table", table)
-        if len(self.angle_table) != self.iterations:
-            raise ValueError("angle table length must equal the iteration count")
+        table = tuple(
+            round(math.degrees(math.atan(2.0**-i)) * ANG.scale)
+            for i in range(self.iterations)
+        )
+        object.__setattr__(self, "angle_table", table)
         if not self.gain_reciprocal:
             gain = 1.0
             for i in range(self.iterations):

@@ -28,7 +28,6 @@ from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
 from .cells import add_votes, cells_per_frame, frame_votes
 from .cordic import gradient_grid
 from .errors import ShapeMismatch
-from .fixq import MAG
 from .gradient import luma8
 from .voting import BIN_COUNT, VoteTable
 
@@ -45,7 +44,7 @@ class DiffReport:
 
     mean_rel_err averages, over blocks, the L1 distance between the two
     descriptors divided by the golden descriptor's L1 mass (floored at
-    epsilon so empty blocks do not divide by zero). max_abs_err is the
+    BLOCK_EPSILON so empty blocks do not divide by zero). max_abs_err is the
     worst single descriptor element anywhere in the frame.
     """
 
@@ -178,20 +177,14 @@ def _block_tensor(x) -> np.ndarray:
 
 
 def _cell_values(x) -> np.ndarray | None:
-    c = getattr(x, "cells", None)
-    if c is None:
-        return None
-    c = np.asarray(c)
-    if c.dtype.kind in "iu":
-        # raw fixed-point accumulators
-        return c.astype(np.float64) / MAG.scale
-    return c.astype(np.float64)
+    if isinstance(x, HogFrame):
+        return x.cell_values()
+    return getattr(x, "cells", None)
 
 
 def compare(
     fixed: HogFrame | GoldenHog | np.ndarray,
     gold: GoldenHog | HogFrame | np.ndarray,
-    epsilon: float = BLOCK_EPSILON,
     per_stage: bool = False,
 ) -> DiffReport:
     """Blockwise diff of two feature frames (or bare block tensors)."""
@@ -202,7 +195,7 @@ def compare(
     if fb.shape[0] == 0:
         return DiffReport(0.0, 0.0, 0)
     diff = np.abs(fb - gb)
-    rel = diff.sum(axis=1) / np.maximum(np.abs(gb).sum(axis=1), epsilon)
+    rel = diff.sum(axis=1) / np.maximum(np.abs(gb).sum(axis=1), BLOCK_EPSILON)
     stage = None
     if per_stage:
         fc, gc = _cell_values(fixed), _cell_values(gold)

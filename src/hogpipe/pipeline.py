@@ -25,6 +25,7 @@ It owns no datapath decision: each comes from its stage's module.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -99,7 +100,7 @@ class PipelineConfig:
     width: int
     height: int
     cordic: CordicConfig = field(default_factory=CordicConfig)
-    epsilon: float = BLOCK_EPSILON
+    epsilon: ClassVar[float] = BLOCK_EPSILON
     taps: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
@@ -140,7 +141,7 @@ class StreamingPipeline:
         self._votes = tuple(map(memoryview, (t.lo_bin, t.hi_bin, t.lo_weight, t.hi_weight)))
         self._grad = GradientStage(cfg.width, cfg.height)
         self._cells = CellAccumulator(cfg.width, cfg.height)
-        self._blocks = BlockAssembler(cc, cfg.epsilon)
+        self._blocks = BlockAssembler(cc)
         self._cell_grid = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
         self._block_grid = np.zeros((cr - 1, cc - 1, BLOCK_VALUES))
         self._captures = {t: [] for t in cfg.taps}
@@ -257,7 +258,7 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
     cells = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
     for votes in frame_votes(luma, vote_table(cfg.cordic)):
         add_votes(cells, *votes)
-    blocks = normalize_grid(cells, cfg.epsilon)
+    blocks = normalize_grid(cells)
 
     stats = RunStats(
         pixels_in=h * w,

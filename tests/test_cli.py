@@ -221,6 +221,15 @@ def test_bench_non_positive_frames_exits_2(frames, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_bench_negative_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(
+            ["bench", "--width", "64", "--height", "64", "--frames", "1", "--seed", "-1"]
+        )
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_detect_outputs_csv(tmp_path, capsys):
     src, _ = pgm(tmp_path, (128, 64), seed=7)
     weights = tmp_path / "model.txt"

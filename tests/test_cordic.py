@@ -42,6 +42,15 @@ def test_config_defaults():
         CordicConfig(iterations=13)
 
 
+def test_angle_table_is_derived_not_settable():
+    assert CFG.angle_table == (
+        368640, 217621, 114985, 58368, 29297, 14663, 7333, 3667,
+        1833, 917, 458, 229, 115, 57, 29, 14,
+    )
+    with pytest.raises(TypeError):
+        CordicConfig(angle_table=CFG.angle_table)
+
+
 def test_three_four_five():
     mag, ang, precise = polar_deg(3, 4)
     assert abs(precise - 5.0) <= 0.005

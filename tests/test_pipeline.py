@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hogpipe.blocks import BLOCK_EPSILON
 from hogpipe.cordic import CordicConfig, polar_raw
 from hogpipe.errors import DimensionError, LayoutError, TapNotEnabled
 from hogpipe.golden import golden_hog
@@ -36,6 +37,12 @@ def test_config_rejects_bad_geometry():
         PipelineConfig(width=16, height=20)
     with pytest.raises(DimensionError):
         PipelineConfig(width=8, height=8)  # single cell, no blocks
+
+
+def test_epsilon_is_readable_not_settable():
+    assert PipelineConfig.epsilon == BLOCK_EPSILON
+    with pytest.raises(TypeError):
+        PipelineConfig(16, 16, epsilon=1e-2)
 
 
 def test_frame_must_match_config():

@@ -9,7 +9,7 @@ from hogpipe.cordic import (
     polar_raw_arrays,
     polar_table,
 )
-from hogpipe.fixq import ANG, MAG, quantize
+from hogpipe.fixq import ANG, MAG
 from hogpipe.golden import golden_vote_table
 from hogpipe.pipeline import (
     BinVote,
@@ -29,14 +29,14 @@ def vote(p: PolarGradient) -> BinVote:
 
 def pg(angle_deg: float, mag: float) -> PolarGradient:
     return PolarGradient(
-        quantize(mag, MAG).raw, quantize(angle_deg, ANG).raw, 0, 0
+        round(mag * MAG.scale), round(angle_deg * ANG.scale), 0, 0
     )
 
 
 def test_center_thirty_degrees_all_to_bin_one():
     v = vote(pg(30.0, 10.0))
     assert v.lo_bin == 1
-    assert v.lo_weight == quantize(10.0, MAG).raw
+    assert v.lo_weight == round(10.0 * MAG.scale)
     assert v.hi_weight == 0
 
 
@@ -46,7 +46,7 @@ def test_every_center_gets_all_weight():
             v = vote(pg(10.0 + 20.0 * k, mag))
             assert v.lo_bin == k, (k, mag)
             assert v.hi_weight == 0
-            assert v.lo_weight == quantize(mag, MAG).raw
+            assert v.lo_weight == round(mag * MAG.scale)
 
 
 def test_midpoint_splits_evenly():
@@ -58,14 +58,14 @@ def test_midpoint_splits_evenly():
 def test_wraparound_between_last_and_first_bin():
     v = vote(pg(175.0, 8.0))
     assert (v.lo_bin, v.hi_bin) == (8, 0)
-    assert v.lo_weight == quantize(6.0, MAG).raw
-    assert v.hi_weight == quantize(2.0, MAG).raw
+    assert v.lo_weight == round(6.0 * MAG.scale)
+    assert v.hi_weight == round(2.0 * MAG.scale)
 
 
 def test_below_first_center_wraps_to_bin_eight():
     v = vote(pg(0.0, 2.0))
     assert (v.lo_bin, v.hi_bin) == (8, 0)
-    assert v.lo_weight == v.hi_weight == quantize(1.0, MAG).raw
+    assert v.lo_weight == v.hi_weight == round(1.0 * MAG.scale)
 
 
 def test_zero_magnitude_votes_nothing():
