@@ -14,6 +14,11 @@ Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow. frame_votes is the
 one array vote gather, for the vectorized and golden paths; as line buffers
 do, it works in strips of cell rows, in one workspace per frame shape.
+It keys each pixel's vote by its low bin alone. The high bin is always
+the next one, so a key's high-side total belongs one bin up: add_votes
+bincounts a strip's packed fixed weights once, splits the totals into
+their low and high sides and adds the high side rotated by one bin
+(8 wraps to 0).
 """
 
 from functools import lru_cache
@@ -23,7 +28,7 @@ import numpy as np
 from .cordic import GRID_SIDE, grid_index
 from .errors import DimensionError
 from .gradient import frame_gradients, pad_frame
-from .voting import BIN_COUNT, VoteTable
+from .voting import BIN_COUNT, PACK_BITS
 
 CELL_SIZE = 8
 STRIP_CELL_ROWS = 8  # cell rows per frame_votes strip: 64 pixel rows
@@ -50,14 +55,17 @@ class _Workspace:
         self.flat, self.keys = np.empty((2, n // w, w), dtype=np.intp)
         r = np.arange(n // w, dtype=np.int32)[:, None] // CELL_SIZE * (w // CELL_SIZE)
         self.base = ((r + np.arange(w, dtype=np.int32) // CELL_SIZE) * BIN_COUNT).ravel()
-        self.bins, self.narrow, self.wide = (np.empty(n, t) for t in (np.int8, np.uint16, float))
+        self.bins = np.empty(n, np.int8)
+        # one row per weight table: the fixed path gathers one, the golden two
+        self.weights = np.empty((2, n))
 
 
-def frame_votes(luma: np.ndarray, table: VoteTable):
-    """Per strip of STRIP_CELL_ROWS cell rows, yield (rows, keys, weights) of
-    its pixels' low votes, then high votes: the strip's cell rows, each vote's
-    key in that slice of a (rows, cols, 9) grid and float64 weight. Views into
-    the shape's shared workspace: consume each first; not thread-safe."""
+def frame_votes(luma: np.ndarray, lo_bin: np.ndarray, *weights: np.ndarray):
+    """Per strip of STRIP_CELL_ROWS cell rows, yield (rows, keys, *gathered):
+    the strip's cell rows, each pixel's key at its low bin in that slice of
+    a (rows, cols, 9) grid, and its float64 weight from each of the one or
+    two vote-table weight arrays. Views into the shape's shared workspace:
+    consume each first; not thread-safe."""
     h, w = luma.shape  # cells_per_frame(w, h) checked by the caller
     ws = _Workspace(h, w)
     pad_frame(luma, ws.padded)
@@ -69,20 +77,30 @@ def frame_votes(luma: np.ndarray, table: VoteTable):
         # grid_index is linear: gx * GRID_SIDE + gy + grid_index(0, 0)
         np.add(np.multiply(gx, GRID_SIDE, out=gx), gy, out=gx)
         flat = np.add(gx, grid_index(0, 0), out=gx).ravel()
-        keys, wide = ws.keys.reshape(-1)[:n], ws.wide[:n]
-        for bins, weights in ((table.lo_bin, table.lo_weight), (table.hi_bin, table.hi_weight)):
-            # flat is in range; raise mode would take through a temporary
-            np.add(ws.base[:n], np.take(bins, flat, out=ws.bins[:n], mode="clip"), out=keys)
-            buf = wide if weights.dtype == wide.dtype else ws.narrow[:n]
-            np.copyto(wide, np.take(weights, flat, out=buf, mode="clip"))  # no-op if wide
-            yield rows, keys, wide
+        keys = ws.keys.reshape(-1)[:n]
+        # flat is in range; raise mode would take through a temporary
+        np.add(ws.base[:n], np.take(lo_bin, flat, out=ws.bins[:n], mode="clip"), out=keys)
+        yield rows, keys, *(
+            np.take(table, flat, out=buf[:n], mode="clip")
+            for table, buf in zip(weights, ws.weights)
+        )
 
 
-def add_votes(grid: np.ndarray, rows: slice, keys: np.ndarray, weights: np.ndarray) -> None:
-    """Add one frame_votes strip's per-key weight totals into grid[rows]."""
-    strip = grid[rows]
-    totals = np.bincount(keys, weights, strip.size).reshape(strip.shape)
-    np.add(strip, totals, out=strip, casting="unsafe")  # exact: fixed weights are integers
+def strip_totals(strip: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-key weight totals of one frame_votes strip, shaped like strip."""
+    return np.bincount(keys, weights, strip.size).reshape(strip.shape)
+
+
+def add_votes(cells: np.ndarray, rows: slice, keys: np.ndarray, packed: np.ndarray) -> None:
+    """Add one frame_votes strip of packed fixed weights into cells[rows]:
+    a key's low-side total at its bin, its high-side total one bin up."""
+    strip = cells[rows]
+    totals = strip_totals(strip, keys, packed)
+    # exact: each side's cell total is below 2**PACK_BITS (voting.vote_table)
+    hi = np.floor(totals * 2.0**-PACK_BITS)
+    lo = totals - hi * 2.0**PACK_BITS
+    np.add(strip, lo, out=strip, casting="unsafe")
+    np.add(strip, np.roll(hi, 1, axis=-1), out=strip, casting="unsafe")
 
 
 class CellAccumulator:

@@ -18,11 +18,11 @@ negative angles gain 180, and 180 itself is 0.
 The scalar and array code paths perform identical integer operations and
 are exhaustively asserted equal (polar_raw is the oracle); both round
 through fixq.rne_shift. A PolarTable memoizes the full 511x511 gradient
-grid at grid_index, built from the gx, gy >= 0 quadrant by the fold's two
-exact symmetries (magnitude by |gx|, |gy|; angle t to 180 - t where
-gx * gy < 0). voting.vote_table votes it once for both the streaming and
-the vectorized path; the streaming model reads the PolarTable itself only
-for its polar tap.
+grid at grid_index in int32 arrays, built from the gx, gy >= 0 quadrant
+by the fold's two exact symmetries (magnitude by |gx|, |gy|; angle t to
+180 - t where gx * gy < 0). voting.vote_table votes it once for both the
+streaming and the vectorized path; the streaming model reads the
+PolarTable itself only for its polar tap.
 """
 
 import math
@@ -175,9 +175,10 @@ class PolarTable:
 
     Pure-function memoization, built from one quadrant by the fold's two
     exact symmetries: lookups are exhaustively identical to the scalar
-    core. Constant data, not pipeline buffer state. The build rejects a
-    config whose largest magnitude overflows MAG, or whose full cell of it
-    would overflow CELL_ACC, so no later stage can saturate.
+    core. Constant data, not pipeline buffer state: mag_raw and ang_raw
+    are flat int32 arrays, 2.09 MB together. The build rejects a config
+    whose largest magnitude overflows MAG, or whose full cell of it would
+    overflow CELL_ACC, so no later stage can saturate.
     """
 
     def __init__(self, cfg: CordicConfig):
@@ -192,7 +193,9 @@ class PolarTable:
                 f"peak magnitude {peak} raw overflows MAG or a "
                 f"{CELL_SIZE}x{CELL_SIZE} cell of CELL_ACC"
             )
-        mag, ang = _unfold(mag), _unfold(ang)
+        # int32 halves the table: the peak is at most MAG.raw_max and angles
+        # are below RAW_180 = 1,474,560
+        mag, ang = _unfold(mag.astype(np.int32)), _unfold(ang.astype(np.int32))
         # where gx * gy < 0 the core mirrors x: angle t becomes 180 - t
         ang[:mid, mid + 1 :] = (RAW_180 - ang[:mid, mid + 1 :]) % RAW_180
         ang[mid + 1 :, :mid] = (RAW_180 - ang[mid + 1 :, :mid]) % RAW_180

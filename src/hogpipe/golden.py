@@ -9,13 +9,15 @@ gather and block layout come from the owners the fixed path also calls.
 
 Votes are gathered by cells.frame_votes from golden_vote_table, a
 voting.VoteTable of golden_votes over the full gradient grid, memoized
-and built on the first golden call. Cell bins sum each vote weight's
-coarse and fine limbs with bincounts, which is exact, then add the two
-limb totals once, rounding as math.fsum would. Block denominators
-split each square into four limbs on fixed grids, sum each limb exactly
-and round the four totals once, again as math.fsum of the squares would.
-Both are order-independent, so the vectorized reduction is bit-identical
-to a naive per-pixel loop.
+and built on the first golden call; as on the fixed path, each pixel's
+two weights are keyed by its low bin. Cell bins sum each weight's coarse
+and fine limbs with bincounts, which is exact, the high side's totals
+rotated one bin up, then add the two limb totals once, rounding as
+math.fsum would. Block denominators split each cell value's square into
+four limbs on fixed grids, sum each limb exactly per cell and then per
+2x2 block, and round the four totals once, again as math.fsum of the
+block's squares would. Both are order-independent, so the vectorized
+reduction is bit-identical to a naive per-pixel loop.
 """
 
 import math
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
-from .cells import add_votes, cells_per_frame, frame_votes
+from .cells import cells_per_frame, frame_votes, strip_totals
 from .cordic import gradient_grid
 from .errors import ShapeMismatch
 from .gradient import luma8
@@ -84,16 +86,23 @@ LIMB_BITS = 26
 
 
 def exact_bincount(votes, shape) -> np.ndarray:
-    """Per-key totals of frame_votes strips in a grid of the given shape, rounded
-    once from the exact sum; each strip's weights are overwritten by a limb."""
-    coarse, fine, part = np.zeros(shape), np.zeros(shape), None
-    for rows, keys, weights in votes:
+    """Totals of frame_votes strips of low-bin keys with low and high weights,
+    in a grid of the given shape whose last axis is the bins: a key's low
+    weights at its bin, its high weights one bin up, rounded once from the
+    exact sum. Each strip's weights are overwritten by a limb."""
+    # (low, high) x (coarse, fine) limb totals
+    sides, part = np.zeros((2, 2, *shape)), None
+    for rows, keys, *weights in votes:
         # one limb buffer, sized by the first strip: no later one is larger
-        part = np.empty_like(weights) if part is None else part[: weights.size]
-        np.floor(np.multiply(weights, 2.0**LIMB_BITS, out=part), out=part)
-        add_votes(coarse, rows, keys, np.multiply(part, 2.0**-LIMB_BITS, out=part))
-        add_votes(fine, rows, keys, np.subtract(weights, part, out=weights))
-    return coarse + fine
+        part = np.empty_like(keys, float) if part is None else part[: keys.size]
+        for (coarse, fine), w in zip(sides, weights):
+            np.floor(np.multiply(w, 2.0**LIMB_BITS, out=part), out=part)
+            np.multiply(part, 2.0**-LIMB_BITS, out=part)
+            coarse[rows] += strip_totals(coarse[rows], keys, part)
+            fine[rows] += strip_totals(fine[rows], keys, np.subtract(w, part, out=w))
+    (lo_coarse, lo_fine), (hi_coarse, hi_fine) = sides
+    coarse = lo_coarse + np.roll(hi_coarse, 1, axis=-1)
+    return coarse + (lo_fine + np.roll(hi_fine, 1, axis=-1))
 
 
 def check_vote_weights(weights: np.ndarray) -> None:
@@ -114,24 +123,27 @@ def check_vote_weights(weights: np.ndarray) -> None:
 # A golden cell value rounds a sum of at most 64 such weights, so it is a
 # multiple of 2**-61 below 2**15 (64 * 360.6 = 23,080 in practice) and its
 # rounded square is a multiple of 2**-122 below 2**30. Cutting the square at
-# grids 2**-17, 2**-64 and 2**-111 leaves four limbs of at most 47 bits; 36
-# of them add at most 6 bits, so each limb's total is exact in any order,
-# and one fsum of the four totals rounds the sum once.
+# grids 2**-17, 2**-64 and 2**-111 leaves four limbs of at most 47 bits; a
+# block's 36 of them, summed per cell and then over its four cells, add at
+# most 6 bits, so each limb's total is exact, and one fsum of the four
+# totals rounds the sum once.
 _SQUARE_CUTS = (17, 64, 111)
 
 
-def exact_square_sums(rows: np.ndarray) -> np.ndarray:
-    """Sum of squares over the last axis of golden cell values, rounded once
-    from the exact total as math.fsum of the squares is."""
-    rest = np.square(rows)
-    limbs = []
-    for cut in _SQUARE_CUTS:
+def exact_square_sums(cells: np.ndarray) -> np.ndarray:
+    """Sum of squares of each 2x2 block's 36 values in a (rows, cols, 9)
+    grid of golden cell values, rounded once from the exact total as
+    math.fsum of the squares is; a (rows - 1, cols - 1) array."""
+    rest = np.square(cells)
+    limbs = np.empty((*cells.shape[:-1], len(_SQUARE_CUTS) + 1))
+    for i, cut in enumerate(_SQUARE_CUTS):
         top = np.floor(rest * 2.0**cut) * 2.0**-cut
         rest -= top
-        limbs.append(top.sum(axis=-1))
-    limbs.append(rest.sum(axis=-1))
-    totals = np.stack(limbs, axis=-1).reshape(-1, len(limbs)).tolist()
-    return np.array(list(map(math.fsum, totals))).reshape(rows.shape[:-1])
+        np.sum(top, axis=-1, out=limbs[..., i])
+    np.sum(rest, axis=-1, out=limbs[..., -1])
+    quads = limbs[:-1, :-1] + limbs[:-1, 1:] + limbs[1:, :-1] + limbs[1:, 1:]
+    totals = quads.reshape(-1, limbs.shape[-1]).tolist()
+    return np.array(list(map(math.fsum, totals))).reshape(quads.shape[:-1])
 
 
 def golden_votes(gx: np.ndarray, gy: np.ndarray):
@@ -161,10 +173,11 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     luma = luma8(luma)
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
-    cells = exact_bincount(frame_votes(luma, golden_vote_table()), (cr, cc, BIN_COUNT))
-    quads = block_quads(cells)
-    denom = np.sqrt(exact_square_sums(quads) + epsilon * epsilon)
-    blocks = quads / denom[..., None]
+    table = golden_vote_table()
+    votes = frame_votes(luma, table.lo_bin, table.lo_weight, table.hi_weight)
+    cells = exact_bincount(votes, (cr, cc, BIN_COUNT))
+    denom = np.sqrt(exact_square_sums(cells) + epsilon * epsilon)
+    blocks = block_quads(cells) / denom[..., None]
     return GoldenHog(cells=cells, blocks=blocks)
 
 

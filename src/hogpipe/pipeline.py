@@ -17,8 +17,10 @@ are defined here and built, with that position, only when a Tap asks.
 run_frame is the instrumented streaming path; its polar and voting
 stages read the memoized vote table one pixel at a time (the polar table
 only for the polar tap). run_frame_fast computes the identical HogFrame
-with array arithmetic (cells.frame_votes strips over the same table,
-bincount histograms; not thread-safe); every stage of it is integer-
+with array arithmetic (not thread-safe): cells.frame_votes gathers each
+strip's low-bin keys and packed weights from the same table, and
+cells.add_votes bincounts them once per strip, splits the low and high
+sides and adds the high side one bin up. Every stage of it is integer-
 identical to the scalar datapath, so the two outputs match element-exactly.
 It owns no datapath decision: each comes from its stage's module.
 """
@@ -256,7 +258,8 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
 
     # fresh per frame: the result never aliases frame_votes' workspace
     cells = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
-    for votes in frame_votes(luma, vote_table(cfg.cordic)):
+    table = vote_table(cfg.cordic)
+    for votes in frame_votes(luma, table.lo_bin, table.packed):
         add_votes(cells, *votes)
     blocks = normalize_grid(cells)
 

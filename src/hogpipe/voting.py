@@ -16,6 +16,13 @@ fixq.rne_shift. vote_raw is the one fixed-point voter. Its one caller,
 vote_table, runs it once over the polar table; the streaming (per pixel)
 and vectorized (per frame) paths both read that vote table. VoteTable is
 the one table type over the gradient grid; the golden model fills it too.
+
+The high bin is always the low bin's successor, so the vectorized paths
+key each vote by its low bin alone and shift the high side's totals up
+one bin afterwards. For them vote_table also packs a pair's two weights
+into one float64, lo_weight + hi_weight * 2**PACK_BITS: one gather and
+one bincount sum both sides of a cell's votes, and cells.add_votes
+splits the totals exactly.
 """
 
 from functools import lru_cache
@@ -23,9 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from .cordic import CordicConfig, polar_table
-from .fixq import ANG, rne_shift
+from .fixq import ANG, CELL_ACC, rne_shift
 
 BIN_COUNT = 9
+# A side's total over one cell is at most CELL_ACC.raw_max; vote_table
+# refuses a CELL_ACC that reaches the shift, so a packed cell total stays
+# below 2**48 < 2**53 and float64 adds it and splits it exactly.
+PACK_BITS = 24
 
 _RAW_CENTER0 = 10 * ANG.scale  # first bin center
 _RAW_SPAN = 180 * ANG.scale
@@ -38,8 +49,8 @@ _FRAC_MASK = (1 << _FRAC_BITS) - 1
 
 def vote_raw(mag, ang):
     """Split MAG raw magnitudes at ANG raw angles between the two nearest
-    bins; Python ints or int64 arrays in, (lo_bin, hi_bin, lo_weight,
-    hi_weight) of the same kind out."""
+    bins; Python ints or integer arrays in (ang int64), (lo_bin, hi_bin,
+    lo_weight, hi_weight) of the same kind out."""
     t = ((ang - _RAW_CENTER0) % _RAW_SPAN) * _RECIP_WIDTH
     lo = t >> _FRAC_BITS
     hi_w = rne_shift(mag * (t & _FRAC_MASK), _FRAC_BITS)
@@ -50,13 +61,15 @@ class VoteTable:
     """Votes for every (gx, gy) pair of the gradient grid.
 
     The two bin indices as int8 and the two weights in the builder's dtype
-    (uint16 MAG raw in vote_table, so it fits a core's L2; float64 in the
-    golden model), laid out like the PolarTable for cordic.grid_index.
+    (uint16 MAG raw in vote_table, read per pixel by the streaming model;
+    float64 in the golden model), laid out like the PolarTable for
+    cordic.grid_index. packed is the fixed table's float64 lo_weight +
+    hi_weight * 2**PACK_BITS for the fast path, None in the golden table.
     """
 
-    def __init__(self, lo_bin, hi_bin, lo_weight, hi_weight):
+    def __init__(self, lo_bin, hi_bin, lo_weight, hi_weight, packed=None):
         self.lo_bin, self.hi_bin = lo_bin.astype(np.int8), hi_bin.astype(np.int8)
-        self.lo_weight, self.hi_weight = lo_weight, hi_weight
+        self.lo_weight, self.hi_weight, self.packed = lo_weight, hi_weight, packed
 
 
 def uint16_weights(weights: np.ndarray) -> np.ndarray:
@@ -68,6 +81,15 @@ def uint16_weights(weights: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def vote_table(cfg: CordicConfig) -> VoteTable:
+    if CELL_ACC.raw_max >= 1 << PACK_BITS:
+        raise ValueError(f"CELL_ACC cell totals reach the {PACK_BITS}-bit packing shift")
     polar = polar_table(cfg)
-    lo, hi, *weights = vote_raw(polar.mag_raw, polar.ang_raw)
-    return VoteTable(lo, hi, *map(uint16_weights, weights))
+    # allocated before the build's temporaries rather than after them:
+    # perfbench's extract_vga run then peaks about 1.4 MB lower in RSS
+    packed = np.empty(polar.mag_raw.shape)
+    # int64 inside the build only: ang * _RECIP_WIDTH overflows int32, and
+    # the int32 magnitudes widen with it
+    lo, hi, lo_w, hi_w = vote_raw(polar.mag_raw, polar.ang_raw.astype(np.int64))
+    np.multiply(hi_w, 2.0**PACK_BITS, out=packed)
+    packed += lo_w
+    return VoteTable(lo, hi, uint16_weights(lo_w), uint16_weights(hi_w), packed)

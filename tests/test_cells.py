@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cells import STRIP_CELL_ROWS, CellAccumulator, cells_per_frame
+from hogpipe.cells import (
+    CELL_SIZE,
+    STRIP_CELL_ROWS,
+    CellAccumulator,
+    add_votes,
+    cells_per_frame,
+)
 from hogpipe.cordic import CordicConfig, polar_raw, polar_table
 from hogpipe.errors import DimensionError
+from hogpipe.fixq import CELL_ACC
 from hogpipe.golden import golden_hog
 from hogpipe.gradient import GradientStage
-from hogpipe.pipeline import PipelineConfig, run_frame_fast
-from hogpipe.voting import vote_raw
+from hogpipe.pipeline import PipelineConfig, run_frame, run_frame_fast
+from hogpipe.voting import PACK_BITS, vote_raw
 from oracles import ref_batch_fixed, ref_gradients, ref_hog
 
 
@@ -145,15 +152,36 @@ _STRIP_SHAPES = [
 
 @pytest.mark.parametrize("h, w", _STRIP_SHAPES)
 def test_strip_gather_matches_the_oracles(h, w):
-    luma = np.random.default_rng(h * w).integers(0, 256, (h, w), dtype=np.uint8)
-    hog, _ = run_frame_fast(luma, PipelineConfig(w, h))
-    cells, blocks = ref_batch_fixed(luma, CordicConfig())
-    assert np.array_equal(hog.cells, cells)
-    assert np.array_equal(hog.blocks, blocks)
-    gold = golden_hog(luma)
-    cells, blocks = ref_hog(luma)
-    assert np.array_equal(gold.cells, cells)
-    assert np.array_equal(gold.blocks, blocks)
+    noise = np.random.default_rng(h * w).integers(0, 256, (h, w), dtype=np.uint8)
+    # columns 0, 0, 255, 255 repeated: gx = +-255 and gy = 0 at every inner
+    # pixel, angle 0, so every vote's high side wraps from bin 8 to bin 0
+    wrap = np.tile(np.array([0, 0, 255, 255], dtype=np.uint8), (h, w // 4))
+    for luma in (noise, wrap):
+        hog, _ = run_frame_fast(luma, PipelineConfig(w, h))
+        cells, blocks = ref_batch_fixed(luma, CordicConfig())
+        assert np.array_equal(hog.cells, cells)
+        assert np.array_equal(hog.blocks, blocks)
+        gold = golden_hog(luma)
+        cells, blocks = ref_hog(luma)
+        assert np.array_equal(gold.cells, cells)
+        assert np.array_equal(gold.blocks, blocks)
+    assert np.all(hog.cells[..., 0] > 0) and not hog.cells[..., 1:8].any()
+    streamed, _ = run_frame(wrap, PipelineConfig(w, h))
+    assert np.array_equal(streamed.cells, hog.cells)
+    assert np.array_equal(streamed.blocks, hog.blocks)
+
+
+@pytest.mark.parametrize("count, weight", [(CELL_SIZE**2, 23_080), (1, CELL_ACC.raw_max)])
+def test_packed_split_holds_at_the_bound(count, weight):
+    # one cell's votes, all keyed to bin 8: the low side's total stays in
+    # bin 8, the high side's wraps to bin 0; both at the peak magnitude
+    # (64 pixels of 23,080 raw) and at CELL_ACC's bound
+    keys = np.full(count, 8)
+    for lo_w, hi_w in ((weight, 0), (0, weight), (weight, weight)):
+        cells = np.zeros((1, 1, 9), dtype=np.int64)
+        packed = np.full(count, lo_w + hi_w * 2.0**PACK_BITS)
+        add_votes(cells, slice(0, 1), keys, packed)
+        assert cells[0, 0].tolist() == [count * hi_w] + [0] * 7 + [count * lo_w]
 
 
 def test_outputs_never_alias_the_workspace():

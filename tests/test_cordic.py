@@ -146,7 +146,7 @@ def test_table_equals_core_on_full_grid(cfg):
     table = polar_table(cfg)
     mag, ang, _ = polar_raw_arrays(*gradient_grid(), cfg)
     for got, want in ((table.mag_raw, mag), (table.ang_raw, ang)):
-        assert got.dtype == np.int64 and got.shape == (GRID_SIDE**2,)
+        assert got.dtype == np.int32 and got.shape == (GRID_SIDE**2,)
         assert np.array_equal(got, want)
 
 

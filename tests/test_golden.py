@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hogpipe.blocks import block_quads
 from hogpipe.errors import DimensionError, ShapeMismatch
 from hogpipe.golden import (
     DiffReport,
@@ -20,6 +21,7 @@ from hogpipe.golden import (
     golden_vote_table,
 )
 from hogpipe.textures import blobs, make_corpus, ramp, uniform_noise
+from hogpipe.voting import BIN_COUNT
 from oracles import ref_hog
 
 
@@ -188,21 +190,24 @@ def test_golden_table_is_not_built_by_import_or_the_fixed_path():
 
 @pytest.mark.parametrize("low, high", [(2.0**8, 2.0**9), (3.66e-3, 2.0**-8)])
 def test_exact_bincount_is_fsum_on_worst_case_bins(low, high):
-    # 64 votes per key, all near the largest weight (coarse limb at its
+    # 64 votes per bin, all near the largest weight (coarse limb at its
     # widest) or all near the smallest nonzero one (fine limb at its
     # widest); a limb split outside 14..38 bits rounds some of these totals
     rng = np.random.default_rng(0)
-    # two strips of 1000 keys, each fed both halves of its keys' votes
-    weights = rng.uniform(low, high, size=(2000, 64))
-    keys = np.repeat(np.arange(1000), 32)
+    # a bin sums 32 low weights keyed to it and 32 high weights keyed to
+    # the bin below it (bin 8 for bin 0); two strips of 100 cell rows, each
+    # fed both halves of its keys' votes
+    lo_w, hi_w = rng.uniform(low, high, size=(2, 200, BIN_COUNT, 32))
+    keys = np.repeat(np.arange(100 * BIN_COUNT), 16)
     strips = [
-        (rows, keys, weights[rows, half].ravel())
-        for rows in (slice(0, 1000), slice(1000, 2000))
-        for half in (slice(0, 32), slice(32, 64))
+        (rows, keys, lo_w[rows, :, half].ravel(), hi_w[rows, :, half].ravel())
+        for rows in (slice(0, 100), slice(100, 200))
+        for half in (slice(0, 16), slice(16, 32))
     ]
-    got = exact_bincount(strips, (2000,))
-    want = [math.fsum(row) for row in weights.tolist()]
-    assert np.array_equal(got, want)
+    got = exact_bincount(strips, (200, BIN_COUNT))
+    votes = np.concatenate([lo_w, np.roll(hi_w, 1, axis=1)], axis=-1)
+    want = [math.fsum(row) for row in votes.reshape(-1, 64).tolist()]
+    assert np.array_equal(got.ravel(), want)
 
 
 def _square_sum_rows():
@@ -233,8 +238,12 @@ SQUARE_ROWS = _square_sum_rows()
 def test_exact_square_sums_is_fsum_on_worst_case_rows(name):
     rows = SQUARE_ROWS[name]
     assert np.all(rows >= 0.0) and np.all(rows < 23_081.0)
-    got = exact_square_sums(rows.reshape(20, 25, 36))
-    want = [math.fsum(row) for row in np.square(rows).tolist()]
+    # the rows' values as a 40x50 cell grid; its 39x49 blocks overlap
+    cells = rows.reshape(40, 50, BIN_COUNT)
+    got = exact_square_sums(cells)
+    quads = block_quads(cells).reshape(-1, 4 * BIN_COUNT)
+    want = [math.fsum(row) for row in np.square(quads).tolist()]
+    assert got.shape == (39, 49)
     assert np.array_equal(got.ravel(), want)
 
 

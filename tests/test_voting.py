@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hogpipe import voting
 from hogpipe.cordic import (
     GRID_SIDE,
     CordicConfig,
@@ -9,7 +10,7 @@ from hogpipe.cordic import (
     polar_raw_arrays,
     polar_table,
 )
-from hogpipe.fixq import ANG, MAG
+from hogpipe.fixq import ANG, MAG, QFormat
 from hogpipe.golden import golden_vote_table
 from hogpipe.pipeline import (
     BinVote,
@@ -18,7 +19,14 @@ from hogpipe.pipeline import (
     StreamingPipeline,
     Tap,
 )
-from hogpipe.voting import BIN_COUNT, VoteTable, uint16_weights, vote_raw, vote_table
+from hogpipe.voting import (
+    BIN_COUNT,
+    PACK_BITS,
+    VoteTable,
+    uint16_weights,
+    vote_raw,
+    vote_table,
+)
 from oracles import ref_vote
 
 
@@ -112,6 +120,9 @@ def test_exhaustive_grid_agrees_with_real_voter_within_one_ulp():
     lo, hi = table.lo_bin, table.hi_bin
     lo_w, hi_w = table.lo_weight, table.hi_weight
     assert (lo_w + hi_w == mag).all()
+    # the fast path's one float64 weight carries both sides
+    assert table.packed.dtype == np.float64
+    assert np.array_equal(table.packed, lo_w + hi_w * 2.0**PACK_BITS)
     assert ((lo >= 0) & (lo < 9)).all()
     assert (hi == (lo + 1) % 9).all()
     # real-valued reference on the dequantized inputs
@@ -151,16 +162,37 @@ def test_scalar_matches_reference_voter(gx, gy):
     pytest.param(golden_vote_table, np.float64, id="golden"),
 ])
 def test_fixed_and_golden_tables_share_one_type_and_layout(table, weight_dtype):
-    # int8 bins for both; uint16 fixed weights keep the fixed table in L2,
-    # float64 golden weights feed exact_bincount
+    # int8 bins for both; uint16 fixed weights for the streaming model's
+    # per-pixel reads, float64 golden weights feed exact_bincount; only the
+    # fixed table packs its weights for the fast path
     t = table()
     assert type(t) is VoteTable
     for name in ("lo_bin", "hi_bin"):
         assert getattr(t, name).dtype == np.int8
     for name in ("lo_weight", "hi_weight"):
         assert getattr(t, name).dtype == weight_dtype
+    assert (t.packed is None) == (weight_dtype == np.float64)
     for arr in vars(t).values():
-        assert arr.shape == (GRID_SIDE**2,)
+        assert arr is None or arr.shape == (GRID_SIDE**2,)
+
+
+def test_vote_table_refuses_cell_totals_that_reach_the_packing_shift(monkeypatch):
+    # each side of a packed cell total must stay below 2**PACK_BITS
+    build = vote_table.__wrapped__  # past the cache: the config is unchanged
+    monkeypatch.setattr(voting, "CELL_ACC", QFormat(PACK_BITS - 6, 6))
+    build(CordicConfig())
+    monkeypatch.setattr(voting, "CELL_ACC", QFormat(PACK_BITS - 5, 6))
+    with pytest.raises(ValueError, match="packing shift"):
+        build(CordicConfig())
+
+
+def test_persistent_tables_fit_the_memory_budget():
+    # int32 polar arrays pay for the fast path's packed weights: the polar
+    # and vote tables hold 8 + 14 bytes per gradient pair, 5.74 MB
+    cfg = CordicConfig()
+    arrays = [*vars(polar_table(cfg)).values(), *vars(vote_table(cfg)).values()]
+    nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert nbytes <= 22 * GRID_SIDE**2
 
 
 @pytest.mark.parametrize("bad", [-1, 65536, 114021])
