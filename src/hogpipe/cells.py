@@ -1,21 +1,22 @@
 """Streaming 8x8 cell histogram accumulation.
 
-Votes arrive in pixel row-major order as bare (lo_bin, hi_bin, lo_weight,
-hi_weight) ints; a vote's pixel position is its sequence number, which
-the accumulator counts. One partial histogram per cell column is enough
-state for the whole frame: a cell's 64 pixels span eight consecutive row
-segments, so only the cells of the current cell-row are ever partially
-filled. When the vote for a cell's last pixel (local position (7, 7))
-arrives, the finished cell's nine bins are handed on as a plain list and
-a fresh partial takes its place for the cell below; cells come out in
-row-major order, so a cell's position is its emission count.
+Votes arrive in pixel row-major order as a bare low bin and packed
+weight (voting.vote_table); a vote's pixel position is its sequence
+number, which the accumulator counts. One partial histogram per cell
+column is enough state for the whole frame: a cell's 64 pixels span
+eight consecutive row segments, so only the cells of the current
+cell-row are ever partially filled. When the vote for a cell's last
+pixel (local position (7, 7)) arrives, the finished cell's nine totals
+are split into their low and high sides, each high side added one bin
+up, and the nine bins handed on as a plain list of ints; a fresh partial
+takes the cell's place for the cell below. Cells come out in row-major
+order, so a cell's position is its emission count.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow. frame_votes is the
 one array vote gather, for the vectorized and golden paths; as line buffers
 do, it works in strips of cell rows, in one workspace per frame shape.
-It keys each pixel's vote by its low bin alone. The high bin is always
-the next one, so a key's high-side total belongs one bin up: add_votes
+It keys each pixel's vote by its low bin, as the table does: add_votes
 bincounts a strip's packed fixed weights once, splits the totals into
 their low and high sides and adds the high side rotated by one bin
 (8 wraps to 0).
@@ -28,7 +29,7 @@ import numpy as np
 from .cordic import GRID_SIDE, grid_index
 from .errors import DimensionError
 from .gradient import frame_gradients, pad_frame
-from .voting import BIN_COUNT, PACK_BITS
+from .voting import BIN_COUNT, VoteTable, split_packed
 
 CELL_SIZE = 8
 STRIP_CELL_ROWS = 8  # cell rows per frame_votes strip: 64 pixel rows
@@ -56,16 +57,16 @@ class _Workspace:
         r = np.arange(n // w, dtype=np.int32)[:, None] // CELL_SIZE * (w // CELL_SIZE)
         self.base = ((r + np.arange(w, dtype=np.int32) // CELL_SIZE) * BIN_COUNT).ravel()
         self.bins = np.empty(n, np.int8)
-        # one row per weight table: the fixed path gathers one, the golden two
+        # one row per row of a table's weights: the fixed path gathers one, the golden two
         self.weights = np.empty((2, n))
 
 
-def frame_votes(luma: np.ndarray, lo_bin: np.ndarray, *weights: np.ndarray):
+def frame_votes(luma: np.ndarray, table: VoteTable):
     """Per strip of STRIP_CELL_ROWS cell rows, yield (rows, keys, *gathered):
     the strip's cell rows, each pixel's key at its low bin in that slice of
-    a (rows, cols, 9) grid, and its float64 weight from each of the one or
-    two vote-table weight arrays. Views into the shape's shared workspace:
-    consume each first; not thread-safe."""
+    a (rows, cols, 9) grid, and its float64 weight from each row of the
+    table's weights. Views into the shape's shared workspace: consume each
+    first; not thread-safe."""
     h, w = luma.shape  # cells_per_frame(w, h) checked by the caller
     ws = _Workspace(h, w)
     pad_frame(luma, ws.padded)
@@ -79,10 +80,10 @@ def frame_votes(luma: np.ndarray, lo_bin: np.ndarray, *weights: np.ndarray):
         flat = np.add(gx, grid_index(0, 0), out=gx).ravel()
         keys = ws.keys.reshape(-1)[:n]
         # flat is in range; raise mode would take through a temporary
-        np.add(ws.base[:n], np.take(lo_bin, flat, out=ws.bins[:n], mode="clip"), out=keys)
+        np.add(ws.base[:n], np.take(table.lo_bin, flat, out=ws.bins[:n], mode="clip"), out=keys)
         yield rows, keys, *(
-            np.take(table, flat, out=buf[:n], mode="clip")
-            for table, buf in zip(weights, ws.weights)
+            np.take(weights, flat, out=buf[:n], mode="clip")
+            for weights, buf in zip(table.weights, ws.weights)
         )
 
 
@@ -96,9 +97,7 @@ def add_votes(cells: np.ndarray, rows: slice, keys: np.ndarray, packed: np.ndarr
     a key's low-side total at its bin, its high-side total one bin up."""
     strip = cells[rows]
     totals = strip_totals(strip, keys, packed)
-    # exact: each side's cell total is below 2**PACK_BITS (voting.vote_table)
-    hi = np.floor(totals * 2.0**-PACK_BITS)
-    lo = totals - hi * 2.0**PACK_BITS
+    lo, hi = split_packed(totals)
     np.add(strip, lo, out=strip, casting="unsafe")
     np.add(strip, np.roll(hi, 1, axis=-1), out=strip, casting="unsafe")
 
@@ -117,20 +116,19 @@ class CellAccumulator:
     def partial_count(self) -> int:
         return len(self._partials)
 
-    def accumulate(
-        self, lo_bin: int, hi_bin: int, lo_weight: int, hi_weight: int
-    ) -> list[int] | None:
+    def accumulate(self, lo_bin: int, packed: float) -> list[int] | None:
         """Fold the next pixel's vote in; returns the finished cell's bins
-        on its last pixel, else None. The list is handed over, not copied:
-        the accumulator never touches it again."""
+        on its last pixel, else None."""
         r, c = divmod(self._next, self.width)
         self._next += 1
         col = c // CELL_SIZE
-        bins = self._partials[col]
-        bins[lo_bin] += lo_weight
-        bins[hi_bin] += hi_weight
+        totals = self._partials[col]
+        totals[lo_bin] += packed
         if c % CELL_SIZE == CELL_SIZE - 1 and r % CELL_SIZE == CELL_SIZE - 1:
             # this vote closes the cell's last 8-pixel row segment
             self._partials[col] = [0] * BIN_COUNT
-            return bins
+            lo, hi = split_packed(np.array(totals))
+            lo[1:] += hi[:-1]  # each high side one bin up,
+            lo[0] += hi[-1]  # bin 8's wrapping to bin 0
+            return lo.astype(np.int64).tolist()
         return None

@@ -63,15 +63,14 @@ class CordicConfig:
     """Iteration count plus the derived angle table and gain reciprocal.
 
     angle_table[i] is arctan(2^-i) in degrees rounded half to even to ANG
-    raw units, always derived from the iteration count. gain_reciprocal is
-    1/gain at 16 fractional bits, the gain taken over the configured number
-    of iterations; passing it overrides that, which only the polar table's
-    headroom refusal needs.
+    raw units; gain_reciprocal is 1/gain at 16 fractional bits, the gain
+    taken over the configured number of iterations. Both are always
+    derived from the iteration count.
     """
 
     iterations: int = 16
     angle_table: tuple[int, ...] = field(init=False)
-    gain_reciprocal: int = 0
+    gain_reciprocal: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.iterations < 14:
@@ -81,11 +80,10 @@ class CordicConfig:
             for i in range(self.iterations)
         )
         object.__setattr__(self, "angle_table", table)
-        if not self.gain_reciprocal:
-            gain = 1.0
-            for i in range(self.iterations):
-                gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
-            object.__setattr__(self, "gain_reciprocal", round((1.0 / gain) * 65536))
+        gain = 1.0
+        for i in range(self.iterations):
+            gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
+        object.__setattr__(self, "gain_reciprocal", round((1.0 / gain) * 65536))
 
 
 def polar_raw(gx: int, gy: int, cfg: CordicConfig) -> tuple[int, int, float]:

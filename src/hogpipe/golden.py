@@ -147,35 +147,31 @@ def exact_square_sums(cells: np.ndarray) -> np.ndarray:
 
 
 def golden_votes(gx: np.ndarray, gy: np.ndarray):
-    """Real-valued center-interpolated votes, ordered as voting.vote_raw's:
-    (lo_bin, hi_bin, lo_weight, hi_weight)."""
+    """Real-valued center-interpolated votes keyed by the low bin:
+    (lo_bin, lo_weight, hi_weight), the high bin being the next one."""
     mag, ang = golden_polar(gx, gy)
     t = ((ang - 10.0) % 180.0) / 20.0
     t_floor = np.floor(t)
     hi_w = mag * (t - t_floor)
     lo_w = mag - hi_w
-    lo_bin = t_floor.astype(np.int64) % BIN_COUNT
-    hi_bin = (lo_bin + 1) % BIN_COUNT
-    return lo_bin, hi_bin, lo_w, hi_w
+    return t_floor.astype(np.int64) % BIN_COUNT, lo_w, hi_w
 
 
 @lru_cache(maxsize=1)
 def golden_vote_table() -> VoteTable:
     """golden_votes over the full gradient grid. The build rejects weights
     that would break exact_bincount's exact sums."""
-    lo, hi, lo_w, hi_w = golden_votes(*gradient_grid())
-    check_vote_weights(lo_w)
-    check_vote_weights(hi_w)
-    return VoteTable(lo, hi, lo_w, hi_w)
+    lo, *weights = golden_votes(*gradient_grid())
+    weights = np.stack(weights)
+    check_vote_weights(weights)
+    return VoteTable(lo, weights)
 
 
 def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     luma = luma8(luma)
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
-    table = golden_vote_table()
-    votes = frame_votes(luma, table.lo_bin, table.lo_weight, table.hi_weight)
-    cells = exact_bincount(votes, (cr, cc, BIN_COUNT))
+    cells = exact_bincount(frame_votes(luma, golden_vote_table()), (cr, cc, BIN_COUNT))
     denom = np.sqrt(exact_square_sums(cells) + epsilon * epsilon)
     blocks = block_quads(cells) / denom[..., None]
     return GoldenHog(cells=cells, blocks=blocks)

@@ -15,12 +15,13 @@ each item's position is its count in stream order. The tap records
 are defined here and built, with that position, only when a Tap asks.
 
 run_frame is the instrumented streaming path; its polar and voting
-stages read the memoized vote table one pixel at a time (the polar table
-only for the polar tap). run_frame_fast computes the identical HogFrame
-with array arithmetic (not thread-safe): cells.frame_votes gathers each
-strip's low-bin keys and packed weights from the same table, and
-cells.add_votes bincounts them once per strip, splits the low and high
-sides and adds the high side one bin up. Every stage of it is integer-
+stages read each pixel's low bin and packed weight from the memoized
+vote table (the polar table only for the polar tap), and the cell stage
+splits each finished cell's totals. run_frame_fast computes the identical
+HogFrame with array arithmetic (not thread-safe): cells.frame_votes
+gathers each strip's low-bin keys and packed weights from the same table,
+and cells.add_votes bincounts them once per strip, splits the low and
+high sides and adds the high side one bin up. Every stage of it is integer-
 identical to the scalar datapath, so the two outputs match element-exactly.
 It owns no datapath decision: each comes from its stage's module.
 """
@@ -43,7 +44,7 @@ from .cells import CellAccumulator, add_votes, cells_per_frame, frame_votes
 from .cordic import CordicConfig, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
 from .gradient import GradientStage, luma8, warmup_steps
-from .voting import BIN_COUNT, vote_table
+from .voting import BIN_COUNT, split_packed, vote_table
 
 
 class Tap(Enum):
@@ -130,17 +131,17 @@ class StreamingPipeline:
 
     Call step() once per pixel (an int in 0..255, else LayoutError) in
     row-major order, then finish(). The polar and voting stages are one
-    read of the memoized vote table. A ring's fill never drops within a
-    frame, so the peak buffer occupancy of the memory-bound check is the
-    rings' current fill; the tables are constant data and deliberately
-    not counted.
+    read of the memoized vote table: a low bin and a packed weight. A
+    ring's fill never drops within a frame, so the peak buffer occupancy
+    of the memory-bound check is the rings' current fill; the tables are
+    constant data and deliberately not counted.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         cc, cr = cells_per_frame(cfg.width, cfg.height)
-        t = vote_table(cfg.cordic)  # memoryviews read back Python ints
-        self._votes = tuple(map(memoryview, (t.lo_bin, t.hi_bin, t.lo_weight, t.hi_weight)))
+        t = vote_table(cfg.cordic)  # memoryviews read back an int and a float
+        self._lo_bins, self._weights = memoryview(t.lo_bin), memoryview(t.weights[0])
         self._grad = GradientStage(cfg.width, cfg.height)
         self._cells = CellAccumulator(cfg.width, cfg.height)
         self._blocks = BlockAssembler(cc)
@@ -187,8 +188,7 @@ class StreamingPipeline:
     def _advance(self, g: tuple[int, int]) -> None:
         gx, gy = g
         i = grid_index(gx, gy)
-        lo_bins, hi_bins, lo_weights, hi_weights = self._votes
-        lo, hi, lo_w, hi_w = lo_bins[i], hi_bins[i], lo_weights[i], hi_weights[i]
+        lo, packed = self._lo_bins[i], self._weights[i]
         cap = self._captures
         if cap:
             r, c = divmod(self._grad.emitted - 1, self.cfg.width)
@@ -198,8 +198,10 @@ class StreamingPipeline:
                 mag, ang = polar_table(self.cfg.cordic).lookup(gx, gy)
                 cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
             if Tap.VOTES in cap:
-                cap[Tap.VOTES].append(BinVote(lo, hi, lo_w, hi_w, r, c))
-        bins = self._cells.accumulate(lo, hi, lo_w, hi_w)
+                lo_w, hi_w = split_packed(packed)
+                hi = (lo + 1) % BIN_COUNT
+                cap[Tap.VOTES].append(BinVote(lo, hi, int(lo_w), int(hi_w), r, c))
+        bins = self._cells.accumulate(lo, packed)
         if bins is None:
             return
         r, c = divmod(self.cells_out, self._blocks.cells_cols)
@@ -258,8 +260,7 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
 
     # fresh per frame: the result never aliases frame_votes' workspace
     cells = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
-    table = vote_table(cfg.cordic)
-    for votes in frame_votes(luma, table.lo_bin, table.packed):
+    for votes in frame_votes(luma, vote_table(cfg.cordic)):
         add_votes(cells, *votes)
     blocks = normalize_grid(cells)
 

@@ -17,12 +17,13 @@ vote_table, runs it once over the polar table; the streaming (per pixel)
 and vectorized (per frame) paths both read that vote table. VoteTable is
 the one table type over the gradient grid; the golden model fills it too.
 
-The high bin is always the low bin's successor, so the vectorized paths
-key each vote by its low bin alone and shift the high side's totals up
-one bin afterwards. For them vote_table also packs a pair's two weights
-into one float64, lo_weight + hi_weight * 2**PACK_BITS: one gather and
-one bincount sum both sides of a cell's votes, and cells.add_votes
-splits the totals exactly.
+The high bin is always the low bin's successor, so every path keys a
+pixel's vote by its low bin alone and adds the high side's totals one bin
+up (8 wraps to 0). VoteTable stores that one format: the low bins and the
+weights keyed by them. vote_table packs a pair's two MAG raw weights into
+one float64, lo_weight + hi_weight * 2**PACK_BITS, so one read or gather
+and one add sum both sides; split_packed takes a packed weight or total
+apart again, exactly.
 """
 
 from functools import lru_cache
@@ -58,25 +59,23 @@ def vote_raw(mag, ang):
 
 
 class VoteTable:
-    """Votes for every (gx, gy) pair of the gradient grid.
+    """Votes for every (gx, gy) pair of the gradient grid, laid out like the
+    PolarTable for cordic.grid_index: lo_bin, the int8 low bins, and
+    weights, a float64 (k, 261121) array of the weights keyed by them.
+    vote_table has k = 1, the packed fixed weight; the golden model k = 2,
+    its low and high weights."""
 
-    The two bin indices as int8 and the two weights in the builder's dtype
-    (uint16 MAG raw in vote_table, read per pixel by the streaming model;
-    float64 in the golden model), laid out like the PolarTable for
-    cordic.grid_index. packed is the fixed table's float64 lo_weight +
-    hi_weight * 2**PACK_BITS for the fast path, None in the golden table.
-    """
-
-    def __init__(self, lo_bin, hi_bin, lo_weight, hi_weight, packed=None):
-        self.lo_bin, self.hi_bin = lo_bin.astype(np.int8), hi_bin.astype(np.int8)
-        self.lo_weight, self.hi_weight, self.packed = lo_weight, hi_weight, packed
+    def __init__(self, lo_bin: np.ndarray, weights: np.ndarray):
+        self.lo_bin, self.weights = lo_bin.astype(np.int8), weights
 
 
-def uint16_weights(weights: np.ndarray) -> np.ndarray:
-    """MAG raw weights as uint16; ValueError, not wraparound, if one is outside."""
-    if weights.size and not 0 <= weights.min() <= weights.max() <= np.iinfo(np.uint16).max:
-        raise ValueError("vote weights do not fit uint16")
-    return weights.astype(np.uint16)
+def split_packed(t):
+    """The (lo, hi) sides of a packed weight or a sum of them, a float or a
+    float64 array; exact while each side is below 2**PACK_BITS."""
+    # floor of a multiply: on arrays numpy's float floor_divide is about
+    # eight times slower
+    hi = np.floor(t * 2.0**-PACK_BITS)
+    return t - hi * 2.0**PACK_BITS, hi
 
 
 @lru_cache(maxsize=4)
@@ -86,10 +85,10 @@ def vote_table(cfg: CordicConfig) -> VoteTable:
     polar = polar_table(cfg)
     # allocated before the build's temporaries rather than after them:
     # perfbench's extract_vga run then peaks about 1.4 MB lower in RSS
-    packed = np.empty(polar.mag_raw.shape)
+    weights = np.empty((1, polar.mag_raw.size))
     # int64 inside the build only: ang * _RECIP_WIDTH overflows int32, and
     # the int32 magnitudes widen with it
-    lo, hi, lo_w, hi_w = vote_raw(polar.mag_raw, polar.ang_raw.astype(np.int64))
-    np.multiply(hi_w, 2.0**PACK_BITS, out=packed)
-    packed += lo_w
-    return VoteTable(lo, hi, uint16_weights(lo_w), uint16_weights(hi_w), packed)
+    lo, _, lo_w, hi_w = vote_raw(polar.mag_raw, polar.ang_raw.astype(np.int64))
+    np.multiply(hi_w, 2.0**PACK_BITS, out=weights[0])
+    weights[0] += lo_w
+    return VoteTable(lo, weights)

@@ -20,7 +20,8 @@ from oracles import ref_batch_fixed, ref_gradients, ref_hog
 
 
 def synth_vote(lo_bin=0, lo_w=0, hi_w=0):
-    return lo_bin, (lo_bin + 1) % 9, lo_w, hi_w
+    """A vote as the streaming model reads it: low bin and packed weight."""
+    return lo_bin, lo_w + hi_w * 2.0**PACK_BITS
 
 
 def feed_frame(acc, width, height, make_vote):
@@ -90,7 +91,8 @@ def test_16x16_matches_nested_loop_bucketing():
     def step(g):
         if g is None:
             return
-        h = acc.accumulate(*vote_raw(*table.lookup(*g)))
+        lo, _, lo_w, hi_w = vote_raw(*table.lookup(*g))
+        h = acc.accumulate(*synth_vote(lo, lo_w, hi_w))
         if h is not None:
             streamed.append(h)
 
@@ -175,13 +177,23 @@ def test_strip_gather_matches_the_oracles(h, w):
 def test_packed_split_holds_at_the_bound(count, weight):
     # one cell's votes, all keyed to bin 8: the low side's total stays in
     # bin 8, the high side's wraps to bin 0; both at the peak magnitude
-    # (64 pixels of 23,080 raw) and at CELL_ACC's bound
+    # (64 pixels of 23,080 raw) and at CELL_ACC's bound, on the fast path's
+    # strip bincount and on the streaming accumulator
     keys = np.full(count, 8)
     for lo_w, hi_w in ((weight, 0), (0, weight), (weight, weight)):
+        want = [count * hi_w] + [0] * 7 + [count * lo_w]
         cells = np.zeros((1, 1, 9), dtype=np.int64)
         packed = np.full(count, lo_w + hi_w * 2.0**PACK_BITS)
         add_votes(cells, slice(0, 1), keys, packed)
-        assert cells[0, 0].tolist() == [count * hi_w] + [0] * 7 + [count * lo_w]
+        assert cells[0, 0].tolist() == want
+
+        def vote(r, c):
+            # the cell's first count pixels carry the votes, the rest vote nothing
+            return synth_vote(8, lo_w, hi_w) if r * CELL_SIZE + c < count else synth_vote(8)
+
+        hists = feed_frame(CellAccumulator(CELL_SIZE, CELL_SIZE), CELL_SIZE, CELL_SIZE, vote)
+        assert hists == [want]
+        assert all(type(b) is int for b in hists[0])
 
 
 def test_outputs_never_alias_the_workspace():

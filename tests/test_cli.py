@@ -1,6 +1,8 @@
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,10 +296,13 @@ def test_detect_non_utf8_model_exits_2(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hogpipe.cli", "bench", "--width", "16",
          "--height", "16", "--frames", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "pixels_per_step=" in proc.stdout

@@ -15,7 +15,7 @@ from hogpipe.cordic import (
     polar_raw_arrays,
     polar_table,
 )
-from hogpipe.fixq import ANG, CELL_ACC, MAG
+from hogpipe.fixq import ANG, CELL_ACC, MAG, QFormat
 from oracles import ref_polar
 
 
@@ -49,6 +49,14 @@ def test_angle_table_is_derived_not_settable():
     )
     with pytest.raises(TypeError):
         CordicConfig(angle_table=CFG.angle_table)
+
+
+def test_gain_reciprocal_is_derived_not_settable():
+    # 1/gain at 16 fractional bits; the gain converges well before 14
+    # iterations, so every allowed count rounds to the same reciprocal
+    assert {CordicConfig(n).gain_reciprocal for n in (14, 16, 20)} == {39797}
+    with pytest.raises(TypeError):
+        CordicConfig(gain_reciprocal=1 << 16)
 
 
 def test_three_four_five():
@@ -138,9 +146,7 @@ def test_table_matches_scalar_lookups():
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [CordicConfig(14), CordicConfig(16), CordicConfig(20), CordicConfig(gain_reciprocal=1 << 16)],
-    ids=["it14", "it16", "it20", "unit_gain"],
+    "cfg", [CordicConfig(14), CordicConfig(16), CordicConfig(20)], ids=["it14", "it16", "it20"]
 )
 def test_table_equals_core_on_full_grid(cfg):
     table = polar_table(cfg)
@@ -163,18 +169,22 @@ def test_table_runs_core_once_on_one_quadrant(monkeypatch):
     polar_table(CFG)
     assert sizes == [256 * 256]
     # the headroom check reads the quadrant's peak, which is the grid's
+    monkeypatch.setattr(cordic, "MAG", QFormat(8, MAG.frac_bits))
     with pytest.raises(ValueError, match="overflows MAG"):
-        polar_table(CordicConfig(gain_reciprocal=3 * 65536))
+        PolarTable(CFG)
     assert sizes == [256 * 256] * 2
 
 
-def test_table_build_checks_headroom():
+def test_table_build_checks_headroom(monkeypatch):
     peak = int(polar_table(CFG).mag_raw.max())
     assert peak == 23080
     assert 64 * peak <= CELL_ACC.raw_max
-    # a gain of 3 instead of ~0.607 drives the peak to 114021 raw
+    # 9 integer bits hold up to 32,767 raw, 8 only 16,383, below the peak
+    monkeypatch.setattr(cordic, "MAG", QFormat(9, MAG.frac_bits))
+    PolarTable(CFG)
+    monkeypatch.setattr(cordic, "MAG", QFormat(8, MAG.frac_bits))
     with pytest.raises(ValueError, match="overflows MAG"):
-        polar_table(CordicConfig(gain_reciprocal=3 * 65536))
+        PolarTable(CFG)
 
 
 def test_grid_index_matches_gradient_grid():

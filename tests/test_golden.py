@@ -148,7 +148,7 @@ def test_vote_weights_fit_the_two_limb_sum():
     # golden_hog's exact cell sums need every weight below 2**9 and a
     # whole multiple of 2**-61; the table holds every reachable gradient pair
     table = golden_vote_table()
-    for wts in (table.lo_weight, table.hi_weight):
+    for wts in table.weights:
         assert np.all(wts >= 0.0)
         assert np.all(wts < 2.0**9)
         scaled = wts * 2.0**61

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe import voting
+from hogpipe import cordic, voting
 from hogpipe.cordic import (
     GRID_SIDE,
     CordicConfig,
@@ -23,7 +23,7 @@ from hogpipe.voting import (
     BIN_COUNT,
     PACK_BITS,
     VoteTable,
-    uint16_weights,
+    split_packed,
     vote_raw,
     vote_table,
 )
@@ -117,14 +117,15 @@ def test_exhaustive_grid_agrees_with_real_voter_within_one_ulp():
     polar = polar_table(CordicConfig())
     mag, ang = polar.mag_raw, polar.ang_raw
     table = vote_table(CordicConfig())
-    lo, hi = table.lo_bin, table.hi_bin
-    lo_w, hi_w = table.lo_weight, table.hi_weight
+    lo, (packed,) = table.lo_bin, table.weights
+    # the table's one float64 weight carries both sides of vote_raw's vote
+    want_lo, _, want_lo_w, want_hi_w = vote_raw(mag, ang.astype(np.int64))
+    assert np.array_equal(lo, want_lo)
+    assert np.array_equal(packed, want_lo_w + want_hi_w * 2.0**PACK_BITS)
+    lo_w, hi_w = split_packed(packed)
+    assert np.array_equal(lo_w, want_lo_w) and np.array_equal(hi_w, want_hi_w)
     assert (lo_w + hi_w == mag).all()
-    # the fast path's one float64 weight carries both sides
-    assert table.packed.dtype == np.float64
-    assert np.array_equal(table.packed, lo_w + hi_w * 2.0**PACK_BITS)
     assert ((lo >= 0) & (lo < 9)).all()
-    assert (hi == (lo + 1) % 9).all()
     # real-valued reference on the dequantized inputs
     t = ((ang / ANG.scale - 10.0) % 180.0) / 20.0
     ref_lo = np.floor(t).astype(np.int64) % 9
@@ -157,23 +158,19 @@ def test_scalar_matches_reference_voter(gx, gy):
         assert abs(v.lo_weight / MAG.scale - lo_w) <= 1.0 / MAG.scale
 
 
-@pytest.mark.parametrize("table, weight_dtype", [
-    pytest.param(lambda: vote_table(CordicConfig()), np.uint16, id="fixed"),
-    pytest.param(golden_vote_table, np.float64, id="golden"),
+@pytest.mark.parametrize("table, weight_rows", [
+    pytest.param(lambda: vote_table(CordicConfig()), 1, id="fixed"),
+    pytest.param(golden_vote_table, 2, id="golden"),
 ])
-def test_fixed_and_golden_tables_share_one_type_and_layout(table, weight_dtype):
-    # int8 bins for both; uint16 fixed weights for the streaming model's
-    # per-pixel reads, float64 golden weights feed exact_bincount; only the
-    # fixed table packs its weights for the fast path
+def test_fixed_and_golden_tables_share_one_type_and_layout(table, weight_rows):
+    # int8 low bins for both; float64 weights keyed by them: the fixed
+    # table's one packed weight, the golden table's low and high weights
     t = table()
     assert type(t) is VoteTable
-    for name in ("lo_bin", "hi_bin"):
-        assert getattr(t, name).dtype == np.int8
-    for name in ("lo_weight", "hi_weight"):
-        assert getattr(t, name).dtype == weight_dtype
-    assert (t.packed is None) == (weight_dtype == np.float64)
-    for arr in vars(t).values():
-        assert arr is None or arr.shape == (GRID_SIDE**2,)
+    assert list(vars(t)) == ["lo_bin", "weights"]
+    assert t.lo_bin.dtype == np.int8 and t.lo_bin.shape == (GRID_SIDE**2,)
+    assert t.weights.dtype == np.float64
+    assert t.weights.shape == (weight_rows, GRID_SIDE**2)
 
 
 def test_vote_table_refuses_cell_totals_that_reach_the_packing_shift(monkeypatch):
@@ -187,26 +184,20 @@ def test_vote_table_refuses_cell_totals_that_reach_the_packing_shift(monkeypatch
 
 
 def test_persistent_tables_fit_the_memory_budget():
-    # int32 polar arrays pay for the fast path's packed weights: the polar
-    # and vote tables hold 8 + 14 bytes per gradient pair, 5.74 MB
+    # the int32 polar arrays, the int8 low bins and one packed float64
+    # weight: 8 + 1 + 8 bytes per gradient pair, 4.44 MB
     cfg = CordicConfig()
     arrays = [*vars(polar_table(cfg)).values(), *vars(vote_table(cfg)).values()]
     nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    assert nbytes <= 22 * GRID_SIDE**2
+    assert nbytes <= 17 * GRID_SIDE**2
 
 
-@pytest.mark.parametrize("bad", [-1, 65536, 114021])
-def test_uint16_weights_refuses_weights_outside_uint16(bad):
-    ok = np.array([0, 1, 23080, 65535], dtype=np.int64)
-    assert np.array_equal(uint16_weights(ok), ok)
-    with pytest.raises(ValueError, match="uint16"):
-        uint16_weights(np.append(ok, bad))
-
-
-def test_vote_table_refuses_a_config_that_overflows_mag():
-    # MAG's headroom check is what bounds every fixed weight by 65,535
+def test_vote_table_refuses_a_config_that_overflows_mag(monkeypatch):
+    # the polar table's MAG headroom check is what bounds every fixed weight
+    monkeypatch.setattr(cordic, "MAG", QFormat(8, MAG.frac_bits))  # 16,383 raw
+    polar_table.cache_clear()  # rebuild under the narrow MAG; a refusal caches nothing
     with pytest.raises(ValueError, match="overflows MAG"):
-        vote_table(CordicConfig(gain_reciprocal=3 * 65536))
+        vote_table.__wrapped__(CordicConfig())
 
 
 def _frame_with_gradient(gx: int, gy: int) -> np.ndarray:
