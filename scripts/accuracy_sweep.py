@@ -9,6 +9,7 @@ Usage: python scripts/accuracy_sweep.py [--width 640] [--height 480]
 
 import argparse
 
+from hogpipe.errors import DimensionError
 from hogpipe.golden import compare, golden_hog
 from hogpipe.pipeline import PipelineConfig, run_frame_fast
 from hogpipe.textures import make_corpus
@@ -22,7 +23,10 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cfg = PipelineConfig(width=args.width, height=args.height)
+    try:
+        cfg = PipelineConfig(width=args.width, height=args.height)
+    except DimensionError as e:
+        ap.error(f"--width/--height: {e}")
     rows = []
     for name, luma in make_corpus(args.count, args.width, args.height, args.seed):
         hog, _ = run_frame_fast(luma, cfg)

@@ -10,7 +10,9 @@ a COUNT below 8 still writes 8.
 import argparse
 import os
 
+from hogpipe.errors import DimensionError
 from hogpipe.ingest import write_pgm
+from hogpipe.pipeline import PipelineConfig
 from hogpipe.textures import make_corpus
 
 
@@ -25,6 +27,10 @@ def main() -> None:
     )
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:  # only frames the pipeline can take
+        PipelineConfig(width=args.width, height=args.height)
+    except DimensionError as e:
+        ap.error(f"--width/--height: {e}")
 
     os.makedirs(args.outdir, exist_ok=True)
     for name, luma in make_corpus(args.count, args.width, args.height, args.seed):

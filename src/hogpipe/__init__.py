@@ -8,10 +8,8 @@ from .errors import (
     CountMismatch,
     DimensionError,
     FormatError,
-    FormatMismatch,
     LayoutError,
     OutOfBoundsError,
-    ShapeMismatch,
     TapNotEnabled,
 )
 from .fixq import ANG, CELL_ACC, MAG, QFormat
@@ -40,7 +38,6 @@ __all__ = [
     "DiffReport",
     "DimensionError",
     "FormatError",
-    "FormatMismatch",
     "GoldenHog",
     "GrayFrame",
     "HogFrame",
@@ -51,7 +48,6 @@ __all__ = [
     "PolarGradient",
     "QFormat",
     "RunStats",
-    "ShapeMismatch",
     "StreamingPipeline",
     "SvmModel",
     "Tap",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DimensionError
 from .fixq import MAG
 
 BLOCK_EPSILON = 1e-3
@@ -58,7 +58,7 @@ class BlockAssembler:
 
     def __init__(self, cells_cols: int):
         if cells_cols < 1:
-            raise ShapeMismatch("need at least one cell column")
+            raise DimensionError("need at least one cell column")
         self.cells_cols = cells_cols
         self._cap = cells_cols + 1
         self._ring: list = [None] * self._cap

@@ -18,8 +18,8 @@ one array vote gather, for the vectorized and golden paths; as line buffers
 do, it works in strips of cell rows, in one workspace per frame shape.
 It keys each pixel's vote by its low bin, as the table does: add_votes
 bincounts a strip's packed fixed weights once, splits the totals into
-their low and high sides and adds the high side rotated by one bin
-(8 wraps to 0).
+their low and high sides and adds the high side one bin up (8 wraps to
+0) with voting.fold_sides, as the cell close does.
 """
 
 from functools import lru_cache
@@ -29,7 +29,7 @@ import numpy as np
 from .cordic import GRID_SIDE, grid_index
 from .errors import DimensionError
 from .gradient import frame_gradients, pad_frame
-from .voting import BIN_COUNT, VoteTable, split_packed
+from .voting import BIN_COUNT, VoteTable, fold_sides, split_packed
 
 CELL_SIZE = 8
 STRIP_CELL_ROWS = 8  # cell rows per frame_votes strip: 64 pixel rows
@@ -96,10 +96,8 @@ def add_votes(cells: np.ndarray, rows: slice, keys: np.ndarray, packed: np.ndarr
     """Add one frame_votes strip of packed fixed weights into cells[rows]:
     a key's low-side total at its bin, its high-side total one bin up."""
     strip = cells[rows]
-    totals = strip_totals(strip, keys, packed)
-    lo, hi = split_packed(totals)
-    np.add(strip, lo, out=strip, casting="unsafe")
-    np.add(strip, np.roll(hi, 1, axis=-1), out=strip, casting="unsafe")
+    totals = fold_sides(*split_packed(strip_totals(strip, keys, packed)))
+    np.add(strip, totals, out=strip, casting="unsafe")
 
 
 class CellAccumulator:
@@ -127,8 +125,5 @@ class CellAccumulator:
         if c % CELL_SIZE == CELL_SIZE - 1 and r % CELL_SIZE == CELL_SIZE - 1:
             # this vote closes the cell's last 8-pixel row segment
             self._partials[col] = [0] * BIN_COUNT
-            lo, hi = split_packed(np.array(totals))
-            lo[1:] += hi[:-1]  # each high side one bin up,
-            lo[0] += hi[-1]  # bin 8's wrapping to bin 0
-            return lo.astype(np.int64).tolist()
+            return fold_sides(*split_packed(np.array(totals))).astype(np.int64).tolist()
         return None

@@ -19,14 +19,7 @@ import numpy as np
 from . import detector
 from .blocks import BLOCK_VALUES, block_count
 from .cells import cells_per_frame
-from .errors import (
-    CountMismatch,
-    DimensionError,
-    FormatError,
-    FormatMismatch,
-    LayoutError,
-    ShapeMismatch,
-)
+from .errors import CountMismatch, DimensionError, FormatError, LayoutError
 from .golden import compare, golden_hog
 from .ingest import load_luma
 from .pipeline import PipelineConfig, run_frame_fast
@@ -74,7 +67,7 @@ def feature_count(view: int, width_cells: int, height_cells: int) -> int:
 def write_features(path, view: int, width_cells: int, height_cells: int, values) -> None:
     payload = np.ascontiguousarray(values, dtype=_VALUE).ravel()
     if payload.size != feature_count(view, width_cells, height_cells):
-        raise FormatMismatch(
+        raise FormatError(
             f"payload has {payload.size} values, header implies "
             f"{feature_count(view, width_cells, height_cells)}"
         )
@@ -261,10 +254,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (FormatError, LayoutError, FormatMismatch) as e:
+    except (FormatError, LayoutError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
-    except (DimensionError, ShapeMismatch) as e:
+    except DimensionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIMENSION
     except CountMismatch as e:

@@ -2,7 +2,7 @@
 
 
 class FormatError(ValueError):
-    """Malformed file or header contents."""
+    """Malformed file or header contents, or a payload that disagrees with its header."""
 
 
 class LayoutError(ValueError):
@@ -10,15 +10,8 @@ class LayoutError(ValueError):
 
 
 class DimensionError(ValueError):
-    """Frame geometry is unusable (too small, not a multiple of the cell size, ...)."""
-
-
-class FormatMismatch(ValueError):
-    """Data disagrees with the format it is written in (payload vs header)."""
-
-
-class ShapeMismatch(ValueError):
-    """Two feature tensors that should be comparable have different geometry."""
+    """Unusable geometry: a frame too small or not a multiple of the cell
+    size, or feature tensors whose shapes disagree."""
 
 
 class CountMismatch(ValueError):

@@ -12,7 +12,7 @@ voting.VoteTable of golden_votes over the full gradient grid, memoized
 and built on the first golden call; as on the fixed path, each pixel's
 two weights are keyed by its low bin. Cell bins sum each weight's coarse
 and fine limbs with bincounts, which is exact, the high side's totals
-rotated one bin up, then add the two limb totals once, rounding as
+folded one bin up (voting.fold_sides), then add the two limb totals once, rounding as
 math.fsum would. Block denominators split each cell value's square into
 four limbs on fixed grids, sum each limb exactly per cell and then per
 2x2 block, and round the four totals once, again as math.fsum of the
@@ -29,9 +29,9 @@ import numpy as np
 from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
 from .cells import cells_per_frame, frame_votes, strip_totals
 from .cordic import gradient_grid
-from .errors import ShapeMismatch
+from .errors import DimensionError
 from .gradient import luma8
-from .voting import BIN_COUNT, VoteTable
+from .voting import BIN_COUNT, VoteTable, fold_sides
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def exact_bincount(votes, shape) -> np.ndarray:
             coarse[rows] += strip_totals(coarse[rows], keys, part)
             fine[rows] += strip_totals(fine[rows], keys, np.subtract(w, part, out=w))
     (lo_coarse, lo_fine), (hi_coarse, hi_fine) = sides
-    coarse = lo_coarse + np.roll(hi_coarse, 1, axis=-1)
-    return coarse + (lo_fine + np.roll(hi_fine, 1, axis=-1))
+    return fold_sides(lo_coarse, hi_coarse) + fold_sides(lo_fine, hi_fine)
 
 
 def check_vote_weights(weights: np.ndarray) -> None:
@@ -181,7 +180,7 @@ def _block_tensor(x) -> np.ndarray:
     b = getattr(x, "blocks", x)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim < 1 or b.shape[-1] != BLOCK_VALUES:
-        raise ShapeMismatch(f"not a block tensor: shape {b.shape}")
+        raise DimensionError(f"not a block tensor: shape {b.shape}")
     return b.reshape(-1, BLOCK_VALUES)
 
 
@@ -200,7 +199,7 @@ def compare(
     fb = _block_tensor(fixed)
     gb = _block_tensor(gold)
     if fb.shape != gb.shape:
-        raise ShapeMismatch(f"block shapes differ: {fb.shape} vs {gb.shape}")
+        raise DimensionError(f"block shapes differ: {fb.shape} vs {gb.shape}")
     if fb.shape[0] == 0:
         return DiffReport(0.0, 0.0, 0)
     diff = np.abs(fb - gb)

@@ -1,48 +1,23 @@
 """Image ingest: binary netpbm decoding, Bayer demosaic, grayscale.
 
 Only the binary variants P5 (grayscale) and P6 (RGB) with maxval 255 are
-accepted. A Bayer frame is a P5 payload reinterpreted as an RGGB mosaic;
-demosaicing is bilinear with replicate padding at the borders. Grayscale
-conversion is the integer BT.601 form (77*R + 150*G + 29*B) >> 8, whose
-weights sum to 256 so a constant RGB pixel maps to the same luma.
+accepted. A frame is a uint8 array whose shape carries its layout:
+decode_image gives (height, width) for a P5 and (height, width, 3) for a
+P6. A Bayer frame is a P5 payload read as an RGGB mosaic;
+demosaic_bilinear takes the 2-D mosaic to (height, width, 3) RGB,
+bilinear with replicate padding at the borders. to_grayscale takes
+(height, width, 3) to (height, width) luma by the integer BT.601 form
+(77*R + 150*G + 29*B) >> 8, whose weights sum to 256 so a constant RGB
+pixel maps to the same luma.
 """
 
 import io
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, FormatError, LayoutError
-
-
-class Layout(Enum):
-    GRAY8 = "gray8"
-    RGB8 = "rgb8"
-    BAYER_RGGB8 = "bayer-rggb8"
-
-    @property
-    def channels(self) -> int:
-        return 3 if self is Layout.RGB8 else 1
-
-
-@dataclass(frozen=True)
-class RawFrame:
-    width: int
-    height: int
-    layout: Layout
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if self.width < 3 or self.height < 3:
-            raise DimensionError(
-                f"frame {self.width}x{self.height} too small, need at least 3x3"
-            )
-        expect = self.width * self.height * self.layout.channels
-        if len(self.data) != expect:
-            raise FormatError(
-                f"payload is {len(self.data)} bytes, expected {expect}"
-            )
 
 
 @dataclass(frozen=True)
@@ -83,19 +58,16 @@ def _header_int(f: io.BufferedReader, what: str) -> int:
     return int(tok)
 
 
-def decode_image(path: str) -> RawFrame:
-    """Decode a binary PGM (P5) or PPM (P6) file with maxval 255.
+def decode_image(path: str) -> np.ndarray:
+    """Decode a binary PGM (P5) or PPM (P6) file with maxval 255 to a
+    read-only uint8 array, (height, width) or (height, width, 3).
 
-    Raises OSError on I/O problems, FormatError on anything else: wrong
-    magic, 16-bit maxval, short or oversized payload.
+    Raises OSError on I/O problems, FormatError on a wrong magic, a 16-bit
+    maxval or a short or oversized payload, then DimensionError below 3x3.
     """
     with open(path, "rb") as f:
         magic = _read_token(f)
-        if magic == b"P5":
-            layout = Layout.GRAY8
-        elif magic == b"P6":
-            layout = Layout.RGB8
-        else:
+        if magic not in (b"P5", b"P6"):
             raise FormatError(f"unsupported magic {magic!r}, want P5 or P6")
         width = _header_int(f, "width")
         height = _header_int(f, "height")
@@ -104,33 +76,30 @@ def decode_image(path: str) -> RawFrame:
             raise FormatError(f"maxval {maxval} unsupported, only 255")
         # _read_token consumed exactly one whitespace byte after maxval
         data = f.read()
-    expect = width * height * layout.channels
-    if len(data) != expect:
+    shape = (height, width) if magic == b"P5" else (height, width, 3)
+    expect = math.prod(shape)
+    if len(data) != expect:  # before any array of the declared size exists
         raise FormatError(f"payload is {len(data)} bytes, expected {expect}")
-    return RawFrame(width, height, layout, data)
+    if width < 3 or height < 3:
+        raise DimensionError(f"frame {width}x{height} too small, need at least 3x3")
+    return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
 
-def as_bayer(frame: RawFrame) -> RawFrame:
-    """Reinterpret a grayscale payload as an RGGB mosaic (the --bayer flag)."""
-    if frame.layout is not Layout.GRAY8:
-        raise LayoutError("only a grayscale payload can carry a Bayer mosaic")
-    return RawFrame(frame.width, frame.height, Layout.BAYER_RGGB8, frame.data)
-
-
-def demosaic_bilinear(frame: RawFrame) -> RawFrame:
-    """Bilinear RGGB demosaic with replicate padding, rounded to nearest.
+def demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
+    """Bilinear RGGB demosaic of a 2-D mosaic to (h, w, 3) uint8 RGB, with
+    replicate padding, rounded to nearest.
 
     Sites: R at (even,even), G at (even,odd) and (odd,even), B at (odd,odd).
     Missing channels are the rounded mean of the 2 or 4 nearest same-color
     sites; at the border the mosaic is extended by edge replication of raw
     values. A constant field stays constant through any of the averages.
     """
-    if frame.layout is not Layout.BAYER_RGGB8:
+    if mosaic.ndim != 2:
         raise LayoutError("demosaic expects an RGGB mosaic frame")
-    if frame.width % 2 or frame.height % 2:
+    h, w = mosaic.shape
+    if w % 2 or h % 2:
         raise LayoutError("RGGB mosaic needs even width and height")
-    h, w = frame.height, frame.width
-    raw = np.frombuffer(frame.data, dtype=np.uint8).reshape(h, w).astype(np.int32)
+    raw = mosaic.astype(np.int32)
     p = np.pad(raw, 1, mode="edge")
 
     def shifted(dr: int, dc: int) -> np.ndarray:
@@ -159,32 +128,28 @@ def demosaic_bilinear(frame: RawFrame) -> RawFrame:
     blue = np.select([at_b, at_g2, at_g1, at_r], [raw, avg_h, avg_v, avg_x])
     green = np.select([at_g1 | at_g2], [raw], default=avg_plus)
 
-    rgb = np.stack([red, green, blue], axis=-1).astype(np.uint8)
-    return RawFrame(w, h, Layout.RGB8, rgb.tobytes())
+    return np.stack([red, green, blue], axis=-1).astype(np.uint8)
 
 
-def to_grayscale(frame: RawFrame) -> GrayFrame:
-    """Integer BT.601 luma of an RGB frame."""
-    if frame.layout is not Layout.RGB8:
+def to_grayscale(rgb: np.ndarray) -> np.ndarray:
+    """Integer BT.601 luma, (h, w) uint8, of an (h, w, 3) RGB frame."""
+    if rgb.ndim != 3 or rgb.shape[-1] != 3:
         raise LayoutError("grayscale conversion expects an RGB frame")
-    rgb = (
-        np.frombuffer(frame.data, dtype=np.uint8)
-        .reshape(frame.height, frame.width, 3)
-        .astype(np.int32)
-    )
+    rgb = rgb.astype(np.int32)
     luma = (77 * rgb[..., 0] + 150 * rgb[..., 1] + 29 * rgb[..., 2]) >> 8
-    return GrayFrame(frame.width, frame.height, luma.astype(np.uint8))
+    return luma.astype(np.uint8)
 
 
 def load_luma(path: str, bayer: bool = False) -> GrayFrame:
-    """Decode a file straight to luma, applying the Bayer interpretation if asked."""
-    raw = decode_image(path)
+    """Decode a file straight to luma, applying the Bayer interpretation if
+    asked; the luma is a writable array that owns its data."""
+    image = decode_image(path)
     if bayer:
-        raw = demosaic_bilinear(as_bayer(raw))
-    if raw.layout is Layout.RGB8:
-        return to_grayscale(raw)
-    luma = np.frombuffer(raw.data, dtype=np.uint8).reshape(raw.height, raw.width)
-    return GrayFrame(raw.width, raw.height, luma.copy())
+        if image.ndim != 2:
+            raise LayoutError("only a grayscale payload can carry a Bayer mosaic")
+        image = demosaic_bilinear(image)
+    luma = to_grayscale(image) if image.ndim == 3 else image.copy()
+    return GrayFrame(luma.shape[1], luma.shape[0], luma)
 
 
 def write_pgm(path: str, luma: np.ndarray) -> None:
@@ -194,4 +159,3 @@ def write_pgm(path: str, luma: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(a.tobytes())
-

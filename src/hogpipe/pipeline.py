@@ -229,7 +229,7 @@ class StreamingPipeline:
 
 
 def _as_luma(frame, cfg: PipelineConfig) -> np.ndarray:
-    luma = luma8(getattr(frame, "luma", frame))
+    luma = luma8(frame)
     if luma.shape != (cfg.height, cfg.width):
         raise DimensionError(
             f"frame is {luma.shape}, config wants {(cfg.height, cfg.width)}"

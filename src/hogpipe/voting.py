@@ -19,11 +19,11 @@ the one table type over the gradient grid; the golden model fills it too.
 
 The high bin is always the low bin's successor, so every path keys a
 pixel's vote by its low bin alone and adds the high side's totals one bin
-up (8 wraps to 0). VoteTable stores that one format: the low bins and the
-weights keyed by them. vote_table packs a pair's two MAG raw weights into
-one float64, lo_weight + hi_weight * 2**PACK_BITS, so one read or gather
-and one add sum both sides; split_packed takes a packed weight or total
-apart again, exactly.
+up (8 wraps to 0); fold_sides is that one fold. VoteTable stores that one
+format: the low bins and the weights keyed by them. vote_table packs a
+pair's two MAG raw weights into one float64, lo_weight + hi_weight *
+2**PACK_BITS, so one read or gather and one add sum both sides;
+split_packed takes a packed weight or total apart again, exactly.
 """
 
 from functools import lru_cache
@@ -76,6 +76,16 @@ def split_packed(t):
     # eight times slower
     hi = np.floor(t * 2.0**-PACK_BITS)
     return t - hi * 2.0**PACK_BITS, hi
+
+
+# each bin's predecessor; index -1 is bin 8, whose high side wraps to bin 0
+_PREV = np.arange(-1, BIN_COUNT - 1)
+
+
+def fold_sides(lo, hi):
+    """Bin totals from per-bin low and high sides, arrays whose last axis
+    is the bins: each bin's low side plus the high side of the bin below."""
+    return lo + hi[..., _PREV]
 
 
 @lru_cache(maxsize=4)

@@ -9,9 +9,9 @@ import pytest
 
 from hogpipe import cli
 from hogpipe.detector import SvmModel, save_model
-from hogpipe.errors import FormatError, FormatMismatch
+from hogpipe.errors import FormatError
 from hogpipe.golden import golden_hog
-from hogpipe.ingest import write_pgm
+from hogpipe.ingest import demosaic_bilinear, to_grayscale, write_pgm
 from hogpipe.pipeline import PipelineConfig, run_frame_fast
 
 
@@ -95,6 +95,49 @@ def test_extract_bad_dimensions_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+def extract_cells(tmp_path, src, *flags):
+    dst = tmp_path / "feat.bin"
+    rc = cli.main(["extract", "--input", str(src), "--output", str(dst), "--view", "cell", *flags])
+    return rc, cli.read_features(dst).values if rc == 0 else None
+
+
+def test_extract_p6_runs_on_bt601_luma(tmp_path, capsys):
+    rgb = np.random.default_rng(6).integers(0, 256, size=(16, 24, 3), dtype=np.uint8)
+    src = tmp_path / "in.ppm"
+    src.write_bytes(b"P6\n24 16\n255\n" + rgb.tobytes())
+    rc, values = extract_cells(tmp_path, src)
+    assert rc == 0
+    r, g, b = rgb.astype(np.int64).transpose(2, 0, 1)
+    luma = ((77 * r + 150 * g + 29 * b) >> 8).astype(np.uint8)
+    hog, _ = run_frame_fast(luma, PipelineConfig(width=24, height=16))
+    assert np.array_equal(values, hog.cell_values().astype(np.float32).ravel())
+
+
+def test_extract_bayer_p5_runs_on_demosaiced_luma(tmp_path, capsys):
+    src, mosaic = pgm(tmp_path, (16, 24), seed=7)
+    rc, values = extract_cells(tmp_path, src, "--bayer")
+    assert rc == 0
+    luma = to_grayscale(demosaic_bilinear(mosaic))
+    hog, _ = run_frame_fast(luma, PipelineConfig(width=24, height=16))
+    assert np.array_equal(values, hog.cell_values().astype(np.float32).ravel())
+
+
+@pytest.mark.parametrize(
+    "blob, flags, want",
+    [
+        (b"P6\n24 16\n255\n" + bytes(24 * 16 * 3), ["--bayer"], 2),  # Bayer needs a P5
+        (b"P5\n23 16\n255\n" + bytes(23 * 16), ["--bayer"], 2),  # odd-width mosaic
+        (b"P5\n2 2\n255\n" + bytes(4), [], 3),
+        (b"P5\n24 16\n65535\n" + bytes(24 * 16 * 2), [], 2),
+    ],
+)
+def test_extract_rejects_each_ingest_fault_with_its_exit_code(tmp_path, capsys, blob, flags, want):
+    src = tmp_path / "in.pgm"
+    src.write_bytes(blob)
+    assert extract_cells(tmp_path, src, *flags)[0] == want
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_feature_file_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     vals = rng.random(2 * 3 * 9).astype(np.float32)
@@ -124,7 +167,7 @@ def test_feature_file_rejects_corruption(tmp_path):
     with pytest.raises(FormatError):
         cli.read_features(truncated)
 
-    with pytest.raises(FormatMismatch):
+    with pytest.raises(FormatError):
         cli.write_features(tmp_path / "n.bin", cli.VIEW_CELL_RAW, 3, 2, np.zeros(53))
 
 

@@ -156,8 +156,8 @@ def test_pgm_header_edge_cases(files, header, payload, want):
     assert extract_exit(files, header + payload) == want
     if want == 0:
         frame = decode_image(files / "case.pgm")
-        assert (frame.width, frame.height) == (24, 16)
-        assert frame.data == (header + payload)[-384:]
+        assert frame.shape == (16, 24)
+        assert frame.tobytes() == (header + payload)[-384:]
 
 
 @pytest.mark.parametrize("view", [cli.VIEW_CELL_RAW, cli.VIEW_BLOCK_NORM])

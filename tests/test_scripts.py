@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hogpipe.ingest import load_luma
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +50,22 @@ def test_cordic_sweep_refuses_too_few_iterations_with_usage_error():
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_accuracy_sweep_refuses_a_size_the_pipeline_cannot_take():
+    proc = script("accuracy_sweep.py", "--width", "12", check=False)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("size", [["--width", "2", "--height", "2"], ["--width", "-5"]])
+def test_make_test_images_refuses_a_size_the_pipeline_cannot_take(tmp_path, size):
+    proc = script("make_test_images.py", str(tmp_path / "out"), *size, check=False)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()  # no file written
 
 
 def test_make_test_images_writes_decodable_frames(tmp_path):
