@@ -15,14 +15,14 @@ the gain; the compensated value is rounded to nearest even only at the final
 U10.6 interface quantization. Orientation is folded to [0, 180) degrees:
 negative angles gain 180, and 180 itself is 0.
 
-The scalar and array code paths perform identical integer operations and
-are exhaustively asserted equal (polar_raw is the oracle); both round
-through fixq.rne_shift. A PolarTable memoizes the full 511x511 gradient
-grid at grid_index in int32 arrays, built from the gx, gy >= 0 quadrant
-by the fold's two exact symmetries (magnitude by |gx|, |gy|; angle t to
-180 - t where gx * gy < 0). voting.vote_table votes it once for both the
-streaming and the vectorized path; the streaming model reads the
-PolarTable itself only for its polar tap.
+polar_raw_arrays is the one CORDIC core; it rounds through fixq.rne_shift.
+The tests pin it and the table on every gradient pair to a scalar oracle
+that shares no code with it. A PolarTable memoizes the full 511x511
+gradient grid at grid_index in int32 arrays, built from the gx, gy >= 0
+quadrant by the fold's two exact symmetries (magnitude by |gx|, |gy|;
+angle t to 180 - t where gx * gy < 0). voting.vote_table votes it once for
+both the streaming and the vectorized path; the streaming model reads the
+PolarTable's arrays itself only for its polar tap.
 """
 
 import math
@@ -39,8 +39,7 @@ RAW_180 = 180 * ANG.scale
 # CORDIC gain the iterated x stays below 2^23 (24-bit signed headroom).
 _NORM_BIT = 20
 
-_BITLEN = tuple(v.bit_length() for v in range(256))
-_BITLEN_NP = np.array(_BITLEN, dtype=np.int64)
+_BITLEN = np.array([v.bit_length() for v in range(256)], dtype=np.int64)
 
 # Gradient components span [-255, 255], so every reachable pair sits on a
 # GRID_SIDE x GRID_SIDE grid, flattened with gx major.
@@ -86,64 +85,26 @@ class CordicConfig:
         object.__setattr__(self, "gain_reciprocal", round((1.0 / gain) * 65536))
 
 
-def polar_raw(gx: int, gy: int, cfg: CordicConfig) -> tuple[int, int, float]:
-    """Scalar CORDIC core on one gradient pair.
-
-    Returns (magnitude raw U10.6, orientation raw ANG, precise compensated
-    magnitude before the U10.6 rounding). (0, 0) maps to (0, 0) by
-    convention.
-    """
-    if gx == 0 and gy == 0:
-        return 0, 0, 0.0
-    # negating both components changes nothing after the fold; use that to
-    # put gy > 0, or gy == 0 with gx > 0, so symmetry is exact by routing
-    if gy < 0 or (gy == 0 and gx < 0):
-        gx, gy = -gx, -gy
-    mirror = gx < 0
-    if mirror:
-        gx = -gx
-    shift = _NORM_BIT + 1 - _BITLEN[max(gx, gy)]
-    x = gx << shift
-    y = gy << shift
-    z = 0
-    for i, step in enumerate(cfg.angle_table):
-        xs = x >> i
-        ys = y >> i
-        if y < 0:
-            x -= ys
-            y += xs
-            z -= step
-        else:
-            x += ys
-            y -= xs
-            z += step
-    if mirror:
-        z = RAW_180 - z
-    ang = z % RAW_180
-    comp = x * cfg.gain_reciprocal
-    precise = comp / 2.0 ** (shift + 16)
-    mag = rne_shift(comp, shift + 16 - MAG.frac_bits)
-    return mag, ang, precise
-
-
 def polar_raw_arrays(
     gx: np.ndarray, gy: np.ndarray, cfg: CordicConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized CORDIC core, integer-for-integer identical to polar_raw.
-
-    Inputs are int arrays in [-255, 255]; outputs are int64 magnitude raw,
-    int64 orientation raw, and float64 precise compensated magnitude.
+    """The CORDIC core, on integer arrays of gradient components in
+    [-255, 255]. Returns int64 magnitude raw, int64 orientation raw and the
+    float64 precise compensated magnitude before the U10.6 rounding.
+    (0, 0) maps to (0, 0) by convention.
     """
     gx = gx.astype(np.int64)
     gy = gy.astype(np.int64)
     zero = (gx == 0) & (gy == 0)
+    # negating both components changes nothing after the fold; use that to
+    # put gy > 0, or gy == 0 with gx > 0, so symmetry is exact by routing
     flip = (gy < 0) | ((gy == 0) & (gx < 0))
     gx = np.where(flip, -gx, gx)
     gy = np.where(flip, -gy, gy)
     mirror = gx < 0
     gx = np.where(mirror, -gx, gx)
     m = np.maximum(np.maximum(gx, gy), 1)
-    shift = _NORM_BIT + 1 - _BITLEN_NP[m]
+    shift = _NORM_BIT + 1 - _BITLEN[m]
     x = gx << shift
     y = gy << shift
     z = np.zeros_like(x)
@@ -172,11 +133,10 @@ class PolarTable:
     """Memoized CORDIC over the full gradient grid, indexed by grid_index.
 
     Pure-function memoization, built from one quadrant by the fold's two
-    exact symmetries: lookups are exhaustively identical to the scalar
-    core. Constant data, not pipeline buffer state: mag_raw and ang_raw
-    are flat int32 arrays, 2.09 MB together. The build rejects a config
-    whose largest magnitude overflows MAG, or whose full cell of it would
-    overflow CELL_ACC, so no later stage can saturate.
+    exact symmetries. Constant data, not pipeline buffer state: mag_raw and
+    ang_raw are flat int32 arrays, 2.09 MB together. The build rejects a
+    config whose largest magnitude overflows MAG, or whose full cell of it
+    would overflow CELL_ACC, so no later stage can saturate.
     """
 
     def __init__(self, cfg: CordicConfig):
@@ -199,10 +159,6 @@ class PolarTable:
         ang[mid + 1 :, :mid] = (RAW_180 - ang[mid + 1 :, :mid]) % RAW_180
         self.mag_raw = mag.ravel()
         self.ang_raw = ang.ravel()
-
-    def lookup(self, gx: int, gy: int) -> tuple[int, int]:
-        i = grid_index(gx, gy)
-        return int(self.mag_raw[i]), int(self.ang_raw[i])
 
 
 @lru_cache(maxsize=4)

@@ -48,12 +48,11 @@ CELL_ACC = QFormat(int_bits=16, frac_bits=6)
 def rne_shift(x, s):
     """Arithmetic right shift by s with round-half-to-even, the datapath's
     one rounding rule. x is a Python int (the result stays one) or a numpy
-    integer array; s is an int (s <= 0 is a plain left shift) or an array
-    of positive per-element shifts. The remainder is taken non-negative
-    (two's complement), so rounding is around floor in all cases.
+    integer array; s is a positive int or an array of positive per-element
+    shifts (the datapath's are 23 and up). The remainder is taken
+    non-negative (two's complement), so rounding is around floor in all
+    cases.
     """
-    if isinstance(s, int) and s <= 0:
-        return x << (-s)
     q = x >> s
     r = x & ((1 << s) - 1)
     half = 1 << (s - 1)

@@ -176,40 +176,24 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     return GoldenHog(cells=cells, blocks=blocks)
 
 
-def _block_tensor(x) -> np.ndarray:
-    b = getattr(x, "blocks", x)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim < 1 or b.shape[-1] != BLOCK_VALUES:
-        raise DimensionError(f"not a block tensor: shape {b.shape}")
-    return b.reshape(-1, BLOCK_VALUES)
-
-
-def _cell_values(x) -> np.ndarray | None:
-    if isinstance(x, HogFrame):
-        return x.cell_values()
-    return getattr(x, "cells", None)
-
-
-def compare(
-    fixed: HogFrame | GoldenHog | np.ndarray,
-    gold: GoldenHog | HogFrame | np.ndarray,
-    per_stage: bool = False,
-) -> DiffReport:
-    """Blockwise diff of two feature frames (or bare block tensors)."""
-    fb = _block_tensor(fixed)
-    gb = _block_tensor(gold)
-    if fb.shape != gb.shape:
-        raise DimensionError(f"block shapes differ: {fb.shape} vs {gb.shape}")
+def compare(fixed: HogFrame, gold: GoldenHog, per_stage: bool = False) -> DiffReport:
+    """Blockwise diff of a fixed-point frame against the golden one."""
+    if fixed.blocks.shape != gold.blocks.shape:
+        raise DimensionError(
+            f"block shapes differ: {fixed.blocks.shape} vs {gold.blocks.shape}"
+        )
+    fb = fixed.blocks.reshape(-1, BLOCK_VALUES)
+    gb = gold.blocks.reshape(-1, BLOCK_VALUES)
     if fb.shape[0] == 0:
         return DiffReport(0.0, 0.0, 0)
     diff = np.abs(fb - gb)
     rel = diff.sum(axis=1) / np.maximum(np.abs(gb).sum(axis=1), BLOCK_EPSILON)
     stage = None
     if per_stage:
-        fc, gc = _cell_values(fixed), _cell_values(gold)
-        stage = {"block_max_abs_err": float(diff.max())}
-        if fc is not None and gc is not None and fc.shape == gc.shape:
-            stage["cell_max_abs_err"] = float(np.max(np.abs(fc - gc)))
+        stage = {
+            "block_max_abs_err": float(diff.max()),
+            "cell_max_abs_err": float(np.max(np.abs(fixed.cell_values() - gold.cells))),
+        }
     return DiffReport(
         mean_rel_err=float(rel.mean()),
         max_abs_err=float(diff.max()),

@@ -26,12 +26,6 @@ class GrayFrame:
     height: int
     luma: np.ndarray  # uint8, shape (height, width), row-major
 
-    def __post_init__(self) -> None:
-        if self.luma.shape != (self.height, self.width):
-            raise DimensionError("luma shape disagrees with declared geometry")
-        if self.luma.dtype != np.uint8:
-            raise LayoutError("luma must be 8-bit unsigned")
-
 
 def _read_token(f: io.BufferedReader) -> bytes:
     """Next whitespace-delimited header token, skipping # comments; as in

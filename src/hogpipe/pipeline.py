@@ -195,7 +195,8 @@ class StreamingPipeline:
             if Tap.GRADIENTS in cap:
                 cap[Tap.GRADIENTS].append(GradientPair(gx, gy, r, c))
             if Tap.POLAR in cap:
-                mag, ang = polar_table(self.cfg.cordic).lookup(gx, gy)
+                polar = polar_table(self.cfg.cordic)
+                mag, ang = int(polar.mag_raw[i]), int(polar.ang_raw[i])
                 cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
             if Tap.VOTES in cap:
                 lo_w, hi_w = split_packed(packed)

@@ -1,10 +1,13 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is written per-definition, favouring clarity over speed, and
-deliberately shares no code with the package beyond IEEE primitives. These
-are the oracles the streaming/vectorized implementations are judged against.
+imports nothing from the package: every constant (bin centers, the bin
+width reciprocal, the angle table, the gain reciprocal, the rounding rule)
+is derived or spelled out here. These are the oracles the
+streaming/vectorized implementations are judged against.
 """
 
+import functools
 import math
 import re
 
@@ -111,17 +114,83 @@ def ref_hog(luma, epsilon=1e-3):
     return cells, blocks
 
 
-def ref_batch_fixed(luma, cordic_cfg):
-    """Batch composition of the scalar fixed-point stage operations.
+def ref_rne(x, s):
+    """x / 2**s rounded half to even, s >= 1: floor division, then the
+    remainder against one half."""
+    q, r = divmod(x, 1 << s)
+    half = 1 << (s - 1)
+    return q + (r > half or (r == half and q % 2 == 1))
 
-    Runs the same per-pixel arithmetic as the streaming pipeline but with
-    plain nested loops and no buffering machinery, then normalizes each 2x2
-    block. The streamed result must match element-exactly.
+
+@functools.lru_cache
+def ref_cordic_constants(iterations):
+    """The arctan(2**-i) table in degrees at 13 fractional bits, rounded
+    half to even, and 1/gain at 16 fractional bits."""
+    angles = [round(math.degrees(math.atan(2.0**-i)) * 8192) for i in range(iterations)]
+    gain = math.prod(math.sqrt(1.0 + 4.0**-i) for i in range(iterations))
+    return angles, round(65536 / gain)
+
+
+def ref_polar_raw(gx, gy, iterations):
+    """Vectoring CORDIC on one gradient pair, per the datapath definition.
+
+    Returns (magnitude raw, 6 fractional bits; orientation raw, degrees at
+    13 fractional bits in [0, 180); precise compensated magnitude before
+    the magnitude rounding). The angle table and the gain reciprocal are
+    derived here from the iteration count. The pair is routed so that
+    gy > 0, or gy == 0 with gx > 0, by negating both components; a negative
+    gx is then mirrored and its angle reflected to 180 - t. The larger
+    component is left-justified to bit 20, shifts truncate, and (0, 0)
+    maps to (0, 0).
     """
-    from hogpipe.blocks import normalize_grid
-    from hogpipe.cordic import polar_raw
-    from hogpipe.voting import vote_raw
+    if gx == 0 and gy == 0:
+        return 0, 0, 0.0
+    angles, recip = ref_cordic_constants(iterations)
+    if gy < 0 or (gy == 0 and gx < 0):
+        gx, gy = -gx, -gy
+    mirror = gx < 0
+    gx = abs(gx)
+    shift = 21 - max(gx, gy).bit_length()
+    x, y, z = gx << shift, gy << shift, 0
+    for i, step in enumerate(angles):
+        if y < 0:
+            x, y, z = x - (y >> i), y + (x >> i), z - step
+        else:
+            x, y, z = x + (y >> i), y - (x >> i), z + step
+    if mirror:
+        z = 180 * 8192 - z
+    comp = x * recip
+    return ref_rne(comp, shift + 10), z % (180 * 8192), comp / 2.0 ** (shift + 16)
 
+
+def ref_vote_raw(mag, ang):
+    """Fixed-point center-interpolated vote of a raw magnitude (6
+    fractional bits) at a raw angle (13 fractional bits): the angle offset
+    from the first center times round(2**24 / 20) = 838,861 splits into the
+    low bin and a fraction at 37 fractional bits; the high weight is
+    mag * fraction rounded half to even. Returns (lo_bin, hi_bin,
+    lo_weight, hi_weight)."""
+    lo, frac = divmod(((ang - 10 * 8192) % (180 * 8192)) * 838861, 1 << 37)
+    hi_w = ref_rne(mag * frac, 37)
+    return lo, (lo + 1) % 9, mag - hi_w, hi_w
+
+
+def ref_normalize_block(raw_bins):
+    """L2 normalization of one block's 36 raw bins (6 fractional bits) in
+    Python floats, epsilon 1e-3 inside the square root."""
+    v = [b / 64 for b in raw_bins]
+    denom = math.sqrt(math.fsum(x * x for x in v) + 1e-3**2)
+    return [x / denom for x in v]
+
+
+def ref_batch_fixed(luma, cordic_cfg):
+    """Batch composition of the fixed-point stage operations.
+
+    Runs the per-pixel arithmetic of the streaming pipeline with plain
+    nested loops and no buffering machinery, then normalizes each 2x2
+    block. Reads only cordic_cfg.iterations. The streamed result must
+    match element-exactly.
+    """
     h, w = luma.shape
     cr, cc = h // 8, w // 8
     bins = np.zeros((cr, cc, 9), dtype=np.int64)
@@ -131,12 +200,13 @@ def ref_batch_fixed(luma, cordic_cfg):
             left = int(luma[r, clamp(c - 1, 0, w - 1)])
             down = int(luma[clamp(r + 1, 0, h - 1), c])
             up = int(luma[clamp(r - 1, 0, h - 1), c])
-            mag, ang, _ = polar_raw(right - left, down - up, cordic_cfg)
-            lo, hi, lo_w, hi_w = vote_raw(mag, ang)
+            mag, ang, _ = ref_polar_raw(right - left, down - up, cordic_cfg.iterations)
+            lo, hi, lo_w, hi_w = ref_vote_raw(mag, ang)
             bins[r // 8, c // 8, lo] += lo_w
             bins[r // 8, c // 8, hi] += hi_w
     blocks = np.zeros((cr - 1, cc - 1, 36))
     for i in range(cr - 1):
         for j in range(cc - 1):
-            blocks[i, j] = normalize_grid(bins[i : i + 2, j : j + 2])[0, 0]
+            quad = [bins[i + di, j + dj].tolist() for di in (0, 1) for dj in (0, 1)]
+            blocks[i, j] = ref_normalize_block(sum(quad, []))
     return bins, blocks

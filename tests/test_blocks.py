@@ -1,17 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hogpipe.blocks import (
-    BLOCK_EPSILON,
     BLOCK_VALUES,
     BlockAssembler,
     block_count,
     normalize_grid,
 )
 from hogpipe.fixq import MAG
+from oracles import ref_normalize_block
 
 
 def stream_blocks(grid):
@@ -68,10 +66,9 @@ def test_against_fsum_reference():
     for _ in range(50):
         raws = rng.integers(0, 1 << 22, size=(4, 9))
         b = normalize_quad(lambda i: raws[i])
-        flat = [raws[i][j] / MAG.scale for i in range(4) for j in range(9)]
-        denom = math.sqrt(math.fsum(x * x for x in flat) + BLOCK_EPSILON**2)
-        ref = np.array([x / denom for x in flat])
-        assert np.max(np.abs(b - ref)) <= 1e-4 * max(1.0, np.max(np.abs(ref)))
+        # every value is a multiple of 2**-6 below 2**16, so each square and
+        # their sum are exact in float64 and the two agree bit for bit
+        assert np.array_equal(b, ref_normalize_block(raws.ravel().tolist()))
 
 
 def test_concatenation_order_is_row_major():

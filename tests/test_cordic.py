@@ -11,12 +11,11 @@ from hogpipe.cordic import (
     PolarTable,
     gradient_grid,
     grid_index,
-    polar_raw,
     polar_raw_arrays,
     polar_table,
 )
 from hogpipe.fixq import ANG, CELL_ACC, MAG, QFormat
-from oracles import ref_polar
+from oracles import ref_polar, ref_polar_raw
 
 
 CFG = CordicConfig()
@@ -28,8 +27,14 @@ def circ_dist_deg(a: float, b: float) -> float:
     return min(d, 180.0 - d)
 
 
+def core(gx, gy):
+    """The CORDIC core on one gradient pair: (mag raw, ang raw, precise)."""
+    mag, ang, precise = polar_raw_arrays(np.array([gx]), np.array([gy]), CFG)
+    return int(mag[0]), int(ang[0]), float(precise[0])
+
+
 def polar_deg(gx, gy):
-    mag, ang, precise = polar_raw(gx, gy, CFG)
+    mag, ang, precise = core(gx, gy)
     return mag / MAG.scale, ang / ANG.scale, precise
 
 
@@ -67,7 +72,7 @@ def test_three_four_five():
 
 
 def test_zero_input_is_zero_by_convention():
-    assert polar_raw(0, 0, CFG) == (0, 0, 0.0)
+    assert core(0, 0) == (0, 0, 0.0)
 
 
 def test_unit_diagonal():
@@ -94,7 +99,7 @@ def test_axes():
 @settings(max_examples=200)
 def test_sign_symmetry_exact(gx, gy):
     # negating both components is a 180-degree rotation, invisible after fold
-    assert polar_raw(gx, gy, CFG) == polar_raw(-gx, -gy, CFG)
+    assert core(gx, gy) == core(-gx, -gy)
 
 
 @given(st.integers(-127, 127), st.integers(-127, 127), st.integers(2, 2))
@@ -122,35 +127,32 @@ def test_core_tracks_double_precision_oracle(gx, gy):
 
 def test_outputs_stay_in_format_range():
     for gx, gy in [(255, 255), (-255, 255), (255, -255), (-255, -255), (255, 0)]:
-        mag, ang, _ = polar_raw(gx, gy, CFG)
+        mag, ang, _ = core(gx, gy)
         assert 0 <= mag <= MAG.raw_max
         assert 0 <= ang < 180 * ANG.scale
-
-
-def test_array_core_matches_scalar_on_sample():
-    rng = np.random.default_rng(5)
-    gx = rng.integers(-255, 256, size=4000)
-    gy = rng.integers(-255, 256, size=4000)
-    mag_a, ang_a, prec_a = polar_raw_arrays(gx, gy, CFG)
-    for i in range(0, 4000, 37):
-        m, a, p = polar_raw(int(gx[i]), int(gy[i]), CFG)
-        assert (m, a) == (int(mag_a[i]), int(ang_a[i]))
-        assert p == float(prec_a[i])
 
 
 def test_table_matches_scalar_lookups():
     table = polar_table(CFG)
     for gx, gy in [(0, 0), (3, 4), (-255, 255), (1, 0), (-1, 0), (17, -252)]:
-        m, a, _ = polar_raw(gx, gy, CFG)
-        assert table.lookup(gx, gy) == (m, a)
+        m, a, _ = ref_polar_raw(gx, gy, CFG.iterations)
+        i = grid_index(gx, gy)
+        assert (int(table.mag_raw[i]), int(table.ang_raw[i])) == (m, a)
 
 
 @pytest.mark.parametrize(
     "cfg", [CordicConfig(14), CordicConfig(16), CordicConfig(20)], ids=["it14", "it16", "it20"]
 )
 def test_table_equals_core_on_full_grid(cfg):
+    # the independent scalar oracle on every gradient pair pins the core's
+    # three outputs and the table built from one quadrant of it
+    gx, gy = gradient_grid()
+    ref = [ref_polar_raw(a, b, cfg.iterations) for a, b in zip(gx.tolist(), gy.tolist())]
+    mag, ang, precise = (np.array(v) for v in zip(*ref))
+    core_mag, core_ang, core_precise = polar_raw_arrays(gx, gy, cfg)
+    assert np.array_equal(core_mag, mag) and np.array_equal(core_ang, ang)
+    assert np.array_equal(core_precise, precise)
     table = polar_table(cfg)
-    mag, ang, _ = polar_raw_arrays(*gradient_grid(), cfg)
     for got, want in ((table.mag_raw, mag), (table.ang_raw, ang)):
         assert got.dtype == np.int32 and got.shape == (GRID_SIDE**2,)
         assert np.array_equal(got, want)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.blocks import block_quads
+from hogpipe.blocks import HogFrame, block_quads
 from hogpipe.errors import DimensionError
 from hogpipe.golden import (
     DiffReport,
@@ -20,6 +20,7 @@ from hogpipe.golden import (
     golden_hog,
     golden_vote_table,
 )
+from hogpipe.pipeline import PipelineConfig, run_frame_fast
 from hogpipe.textures import blobs, make_corpus, ramp, uniform_noise
 from hogpipe.voting import BIN_COUNT
 from oracles import ref_hog
@@ -74,43 +75,48 @@ def test_matches_naive_oracle_exactly_other_shapes(shape):
     assert np.array_equal(g.blocks, blocks)
 
 
+def fixed_and_golden(luma):
+    """A fixed frame of luma and a GoldenHog holding the same values."""
+    hog, _ = run_frame_fast(luma, PipelineConfig(luma.shape[1], luma.shape[0]))
+    return hog, GoldenHog(hog.cell_values(), hog.blocks)
+
+
 def test_compare_of_identical_frames_is_zero():
     rng = np.random.default_rng(1)
     luma = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-    g = golden_hog(luma)
-    rep = compare(g, g)
+    rep = compare(*fixed_and_golden(luma))
     assert rep.mean_rel_err == 0.0
     assert rep.max_abs_err == 0.0
     assert rep.block_count == 1
 
 
 def test_compare_zero_against_zero_uses_epsilon_guard():
-    z = GoldenHog(np.zeros((2, 2, 9)), np.zeros((1, 1, 36)))
-    rep = compare(z, z)
+    cells, blocks = np.zeros((2, 2, 9), dtype=np.int64), np.zeros((1, 1, 36))
+    rep = compare(HogFrame(cells, blocks), GoldenHog(cells.astype(float), blocks))
     assert rep.mean_rel_err == 0.0
 
 
 def test_compare_max_abs_is_symmetric():
     rng = np.random.default_rng(2)
-    a = golden_hog(rng.integers(0, 256, size=(24, 24), dtype=np.uint8))
-    b = golden_hog(rng.integers(0, 256, size=(24, 24), dtype=np.uint8))
-    fwd, rev = compare(a, b), compare(b, a)
+    a_fixed, a_gold = fixed_and_golden(rng.integers(0, 256, (24, 24), dtype=np.uint8))
+    b_fixed, b_gold = fixed_and_golden(rng.integers(0, 256, (24, 24), dtype=np.uint8))
+    fwd, rev = compare(a_fixed, b_gold), compare(b_fixed, a_gold)
     assert fwd.max_abs_err == rev.max_abs_err
     assert fwd.mean_rel_err >= 0.0
     assert rev.mean_rel_err >= 0.0
 
 
 def test_compare_rejects_mismatched_geometry():
-    a = GoldenHog(np.zeros((2, 2, 9)), np.zeros((1, 1, 36)))
+    a = HogFrame(np.zeros((2, 2, 9), dtype=np.int64), np.zeros((1, 1, 36)))
     b = GoldenHog(np.zeros((2, 3, 9)), np.zeros((1, 2, 36)))
     with pytest.raises(DimensionError):
         compare(a, b)
 
 
-def test_compare_accepts_bare_block_tensors():
-    x = np.zeros((3, 4, 36))
-    y = np.full((3, 4, 36), 0.25)
-    rep = compare(x, y)
+def test_compare_counts_blocks_and_worst_element():
+    fixed = HogFrame(np.zeros((4, 5, 9), dtype=np.int64), np.zeros((3, 4, 36)))
+    gold = GoldenHog(np.zeros((4, 5, 9)), np.full((3, 4, 36), 0.25))
+    rep = compare(fixed, gold)
     assert rep.block_count == 12
     assert rep.max_abs_err == 0.25
 
@@ -118,8 +124,7 @@ def test_compare_accepts_bare_block_tensors():
 def test_per_stage_breakdown_includes_cells():
     rng = np.random.default_rng(3)
     luma = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-    g = golden_hog(luma)
-    rep = compare(g, g, per_stage=True)
+    rep = compare(*fixed_and_golden(luma), per_stage=True)
     assert rep.per_stage["cell_max_abs_err"] == 0.0
     assert rep.per_stage["block_max_abs_err"] == 0.0
 

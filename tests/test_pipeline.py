@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hogpipe.blocks import BLOCK_EPSILON
-from hogpipe.cordic import CordicConfig, polar_raw
+from hogpipe.cordic import CordicConfig
 from hogpipe.errors import DimensionError, LayoutError, TapNotEnabled
 from hogpipe.golden import golden_hog
 from hogpipe.pipeline import (
@@ -18,8 +18,7 @@ from hogpipe.pipeline import (
     run_frame_fast,
 )
 from hogpipe.textures import uniform_noise
-from hogpipe.voting import vote_raw
-from oracles import ref_batch_fixed, ref_gradients
+from oracles import ref_batch_fixed, ref_gradients, ref_polar_raw, ref_vote_raw
 
 
 def rand_frame(shape, seed):
@@ -265,10 +264,10 @@ def test_every_tap_record_matches_independent_oracles(cordic):
     for r in range(16):
         for c in range(24):
             gx, gy = int(grads[r, c, 0]), int(grads[r, c, 1])
-            mag, ang, _ = polar_raw(gx, gy, cordic)
+            mag, ang, _ = ref_polar_raw(gx, gy, cordic.iterations)
             gradients.append(("GradientPair", gx, gy, r, c))
             polar.append(("PolarGradient", mag, ang, r, c))
-            votes.append(("BinVote", *vote_raw(mag, ang), r, c))
+            votes.append(("BinVote", *ref_vote_raw(mag, ang), r, c))
     assert record_fields(pipe.captures(Tap.GRADIENTS)) == gradients
     assert record_fields(pipe.captures(Tap.POLAR)) == polar
     assert record_fields(pipe.captures(Tap.VOTES)) == votes

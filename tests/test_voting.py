@@ -6,7 +6,6 @@ from hogpipe import cordic, voting
 from hogpipe.cordic import (
     GRID_SIDE,
     CordicConfig,
-    polar_raw,
     polar_raw_arrays,
     polar_table,
 )
@@ -27,7 +26,7 @@ from hogpipe.voting import (
     vote_raw,
     vote_table,
 )
-from oracles import ref_vote
+from oracles import ref_polar_raw, ref_vote, ref_vote_raw
 
 
 def vote(p: PolarGradient) -> BinVote:
@@ -158,6 +157,16 @@ def test_scalar_matches_reference_voter(gx, gy):
         assert abs(v.lo_weight / MAG.scale - lo_w) <= 1.0 / MAG.scale
 
 
+def test_vote_table_equals_the_oracle_voter_on_every_pair():
+    # the polar table is pinned to the oracle CORDIC; vote each entry of it
+    cfg = CordicConfig()
+    polar, table = polar_table(cfg), vote_table(cfg)
+    votes = map(ref_vote_raw, polar.mag_raw.tolist(), polar.ang_raw.tolist())
+    lo, _, lo_w, hi_w = (np.array(v) for v in zip(*votes))
+    assert np.array_equal(table.lo_bin, lo)
+    assert np.array_equal(table.weights[0], lo_w + hi_w * 2.0**PACK_BITS)
+
+
 @pytest.mark.parametrize("table, weight_rows", [
     pytest.param(lambda: vote_table(CordicConfig()), 1, id="fixed"),
     pytest.param(golden_vote_table, 2, id="golden"),
@@ -227,6 +236,6 @@ def test_streaming_vote_read_equals_the_scalar_voter(iterations, gx, gy):
     g = pipe.captures(Tap.GRADIENTS)[i]
     assert (g.gx, g.gy, g.row, g.col) == (gx, gy, 8, 8)
     v = pipe.captures(Tap.VOTES)[i]
-    want = vote_raw(*polar_raw(gx, gy, cfg)[:2])
+    want = vote_raw(*ref_polar_raw(gx, gy, iterations)[:2])
     assert (v.lo_bin, v.hi_bin, v.lo_weight, v.hi_weight) == want
     assert all(type(x) is int for x in (v.lo_bin, v.hi_bin, v.lo_weight, v.hi_weight))
