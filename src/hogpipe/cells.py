@@ -13,7 +13,8 @@ takes the cell's place for the cell below. Cells come out in row-major
 order, so a cell's position is its emission count.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
-of headroom; 64 maximal magnitudes cannot overflow. frame_votes is the
+of headroom; 64 maximal magnitudes cannot overflow. CELL_SIZE comes from
+fixq, next to the CELL_ACC headroom it sizes. frame_votes is the
 one array vote gather, for the vectorized and golden paths; as line buffers
 do, it works in strips of cell rows, in one workspace per frame shape.
 It keys each pixel's vote by its low bin, as the table does: add_votes
@@ -28,10 +29,10 @@ import numpy as np
 
 from .cordic import GRID_SIDE, grid_index
 from .errors import DimensionError
+from .fixq import CELL_SIZE
 from .gradient import frame_gradients, pad_frame
 from .voting import BIN_COUNT, VoteTable, fold_sides, split_packed
 
-CELL_SIZE = 8
 STRIP_CELL_ROWS = 8  # cell rows per frame_votes strip: 64 pixel rows
 
 

@@ -10,10 +10,11 @@ bits). Shifts truncate (arithmetic right shift) exactly as hardware shifters
 do; intermediates stay inside a 24-bit signed range.
 
 The iterated x converges to gain * sqrt(gx^2 + gy^2) with gain ~1.64676.
-Multiplying by the pre-quantized reciprocal (16 fractional bits) compensates
-the gain; the compensated value is rounded to nearest even only at the final
-U10.6 interface quantization. Orientation is folded to [0, 180) degrees:
-negative angles gain 180, and 180 itself is 0.
+Multiplying by the pre-quantized reciprocal (16 fractional bits, named
+GAIN_FRAC_BITS) compensates the gain; the compensated value is rounded to
+nearest even only at the final U10.6 interface quantization. Orientation
+is folded to [0, 180) degrees (RAW_180): negative angles gain 180, and
+180 itself is 0.
 
 polar_raw_arrays is the one CORDIC core; it rounds through fixq.rne_shift.
 The tests pin it and the table on every gradient pair to a scalar oracle
@@ -31,9 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fixq import ANG, CELL_ACC, MAG, rne_shift
+from .fixq import ANG, CELL_ACC, CELL_SIZE, MAG, rne_shift
 
 RAW_180 = 180 * ANG.scale
+GAIN_FRAC_BITS = 16  # of CordicConfig.gain_reciprocal
 
 # Inputs are left-justified so max(|gx|, |gy|) occupies bit 20; with the
 # CORDIC gain the iterated x stays below 2^23 (24-bit signed headroom).
@@ -62,7 +64,7 @@ class CordicConfig:
     """Iteration count plus the derived angle table and gain reciprocal.
 
     angle_table[i] is arctan(2^-i) in degrees rounded half to even to ANG
-    raw units; gain_reciprocal is 1/gain at 16 fractional bits, the gain
+    raw units; gain_reciprocal is 1/gain at GAIN_FRAC_BITS, the gain
     taken over the configured number of iterations. Both are always
     derived from the iteration count.
     """
@@ -82,7 +84,7 @@ class CordicConfig:
         gain = 1.0
         for i in range(self.iterations):
             gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
-        object.__setattr__(self, "gain_reciprocal", round((1.0 / gain) * 65536))
+        object.__setattr__(self, "gain_reciprocal", round((1.0 / gain) * 2**GAIN_FRAC_BITS))
 
 
 def polar_raw_arrays(
@@ -118,8 +120,9 @@ def polar_raw_arrays(
     z = np.where(mirror, RAW_180 - z, z)
     ang = np.where(zero, 0, z % RAW_180)
     comp = x * np.int64(cfg.gain_reciprocal)
-    precise = np.where(zero, 0.0, comp / np.exp2((shift + 16).astype(np.float64)))
-    mag = np.where(zero, 0, rne_shift(comp, shift + 16 - MAG.frac_bits))
+    frac = shift + GAIN_FRAC_BITS  # comp's fractional bits
+    precise = np.where(zero, 0.0, comp / np.exp2(frac.astype(np.float64)))
+    mag = np.where(zero, 0, rne_shift(comp, frac - MAG.frac_bits))
     return mag, ang, precise
 
 
@@ -140,8 +143,6 @@ class PolarTable:
     """
 
     def __init__(self, cfg: CordicConfig):
-        from .cells import CELL_SIZE  # deferred: cells -> voting -> cordic
-
         # run the core on gx, gy >= 0 only; the quadrant holds the peak
         mid = GRID_SIDE // 2  # grid position of a zero component
         mag, ang, _ = polar_raw_arrays(*np.indices((mid + 1, mid + 1)), cfg)

@@ -25,8 +25,8 @@ from typing import ClassVar
 import numpy as np
 
 from .blocks import BLOCK_VALUES, block_count
-from .cells import CELL_SIZE
 from .errors import CountMismatch, FormatError, OutOfBoundsError
+from .fixq import CELL_SIZE
 
 WINDOW_CELL_COLS = 8
 WINDOW_CELL_ROWS = 16

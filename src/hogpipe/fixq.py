@@ -7,7 +7,7 @@ rounds half to even.
 
 The datapath works on raw Python or numpy integers and cannot saturate:
 the polar table build checks once that the largest magnitude fits MAG and
-that a full cell of it fits CELL_ACC.
+that a full CELL_SIZE x CELL_SIZE cell of it fits CELL_ACC.
 """
 
 from dataclasses import dataclass
@@ -37,11 +37,12 @@ class QFormat:
 
 # Pipeline register formats. MAG leaves headroom for the uncompensated
 # CORDIC gain, ANG holds degrees in [0, 180) at 13 fractional bits,
-# CELL_ACC holds the 64 votes of one 8x8 cell per bin. The default CORDIC
-# peaks at 23080 raw magnitude and 64 * 23080 < 2**22; the polar table
-# build enforces both bounds.
+# CELL_ACC holds the 64 votes per bin of one CELL_SIZE x CELL_SIZE cell.
+# The default CORDIC peaks at 23080 raw magnitude and 64 * 23080 < 2**22;
+# the polar table build enforces both bounds.
 MAG = QFormat(int_bits=10, frac_bits=6)
 ANG = QFormat(int_bits=8, frac_bits=13)
+CELL_SIZE = 8
 CELL_ACC = QFormat(int_bits=16, frac_bits=6)
 
 

@@ -4,8 +4,8 @@ measures how far the fixed-point pipeline drifts from it.
 The golden model follows every geometry decision of the streaming pipeline
 (replicated borders, bin centers at 10 + 20k degrees, 8x8 cells, 2x2
 blocks at stride one, epsilon inside the square root) in plain float64,
-so a diff against it isolates quantization error. Gradients, the vote
-gather and block layout come from the owners the fixed path also calls.
+so a diff against it isolates quantization error. Gradients, bin centers,
+vote gather and block layout come from the fixed path's owners.
 
 Votes are gathered by cells.frame_votes from golden_vote_table, a
 voting.VoteTable of golden_votes over the full gradient grid, memoized
@@ -31,7 +31,7 @@ from .cells import cells_per_frame, frame_votes, strip_totals
 from .cordic import gradient_grid
 from .errors import DimensionError
 from .gradient import luma8
-from .voting import BIN_COUNT, VoteTable, fold_sides
+from .voting import BIN_COUNT, BIN_WIDTH, VoteTable, fold_sides
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def golden_votes(gx: np.ndarray, gy: np.ndarray):
     """Real-valued center-interpolated votes keyed by the low bin:
     (lo_bin, lo_weight, hi_weight), the high bin being the next one."""
     mag, ang = golden_polar(gx, gy)
-    t = ((ang - 10.0) % 180.0) / 20.0
+    t = ((ang - BIN_WIDTH / 2) % 180.0) / BIN_WIDTH
     t_floor = np.floor(t)
     hi_w = mag * (t - t_floor)
     lo_w = mag - hi_w

@@ -9,6 +9,9 @@ bilinear with replicate padding at the borders. to_grayscale takes
 (height, width, 3) to (height, width) luma by the integer BT.601 form
 (77*R + 150*G + 29*B) >> 8, whose weights sum to 256 so a constant RGB
 pixel maps to the same luma.
+
+Header tokens are bounded: one longer than MAX_TOKEN bytes, more than any
+valid field needs, is refused with FormatError before it is parsed.
 """
 
 import io
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError, LayoutError
+
+MAX_TOKEN = 20  # header token bytes; 20 digits declare over 10**19 pixels
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,8 @@ def _read_token(f: io.BufferedReader) -> bytes:
                 return tok
             continue
         tok += c
+        if len(tok) > MAX_TOKEN:
+            raise FormatError(f"header token longer than {MAX_TOKEN} bytes")
 
 
 def _header_int(f: io.BufferedReader, what: str) -> int:

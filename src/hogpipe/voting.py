@@ -1,21 +1,22 @@
 """Center-interpolated orientation voting.
 
-Nine bins of width 20 degrees cover [0, 180); bin k is centered at
-10 + 20k. A magnitude splits linearly between the two nearest centers:
-with t = (angle - 10) / 20 wrapped mod 9, the integer part picks the low
-bin, the fractional part weights the high bin (the next center, wrapping
-8 -> 0), and the low bin receives the remainder so the two weights always
-sum to the magnitude exactly in raw units.
+BIN_COUNT = 9 bins of BIN_WIDTH = 20 degrees cover [0, 180), cordic.RAW_180
+in raw units; bin k is centered at 10 + 20k. A magnitude splits linearly
+between the two nearest centers: with t = (angle - 10) / 20 wrapped mod 9,
+the integer part picks the low bin, the fractional part weights the high bin
+(the next center, wrapping 8 -> 0), and the low bin receives the remainder
+so the two weights always sum to the magnitude exactly in raw units.
 
-The divide by the 20-degree bin width is a multiply by a pre-quantized
-reciprocal, round(2^24 / 20) = 838861. Twenty-four fractional bits keep the
-worst-case weight error under one MAG ulp against a real-valued voter even
-at the maximum magnitude; the narrower 16-bit reciprocal provably cannot.
-The high weight is rounded to nearest even from the raw product by
-fixq.rne_shift. vote_raw is the one fixed-point voter. Its one caller,
-vote_table, runs it once over the polar table; the streaming (per pixel)
-and vectorized (per frame) paths both read that vote table. VoteTable is
-the one table type over the gradient grid; the golden model fills it too.
+The divide by the bin width is a multiply by a pre-quantized reciprocal,
+round(2^24 / BIN_WIDTH), derived from BIN_WIDTH (838861 at 20 degrees).
+Twenty-four fractional bits keep the worst-case weight error under one
+MAG ulp against a real-valued voter even at the maximum magnitude; the
+narrower 16-bit reciprocal provably cannot. The high weight is rounded
+to nearest even from the raw product by fixq.rne_shift. vote_raw is the
+one fixed-point voter. Its one caller, vote_table, runs it once over the
+polar table; the streaming (per pixel) and vectorized (per frame) paths
+both read that vote table. VoteTable is the one table type over the
+gradient grid; the golden model fills it too.
 
 The high bin is always the low bin's successor, so every path keys a
 pixel's vote by its low bin alone and adds the high side's totals one bin
@@ -30,21 +31,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cordic import CordicConfig, polar_table
+from .cordic import RAW_180, CordicConfig, polar_table
 from .fixq import ANG, CELL_ACC, rne_shift
 
 BIN_COUNT = 9
+BIN_WIDTH = 180 // BIN_COUNT  # degrees
 # A side's total over one cell is at most CELL_ACC.raw_max; vote_table
 # refuses a CELL_ACC that reaches the shift, so a packed cell total stays
 # below 2**48 < 2**53 and float64 adds it and splits it exactly.
 PACK_BITS = 24
 
-_RAW_CENTER0 = 10 * ANG.scale  # first bin center
-_RAW_SPAN = 180 * ANG.scale
-# round(2^24 / 20): reciprocal of the bin width at 24 fractional bits
-_RECIP_WIDTH = 838861
+_RAW_CENTER0 = BIN_WIDTH * ANG.scale // 2  # first bin center
+_RECIP_BITS = 24  # fractional bits of the bin width's reciprocal
+_RECIP_WIDTH = round(2**_RECIP_BITS / BIN_WIDTH)
 # angle offset * _RECIP_WIDTH carries the bin fraction at 13 + 24 frac bits
-_FRAC_BITS = ANG.frac_bits + 24
+_FRAC_BITS = ANG.frac_bits + _RECIP_BITS
 _FRAC_MASK = (1 << _FRAC_BITS) - 1
 
 
@@ -52,7 +53,7 @@ def vote_raw(mag, ang):
     """Split MAG raw magnitudes at ANG raw angles between the two nearest
     bins; Python ints or integer arrays in (ang int64), (lo_bin, hi_bin,
     lo_weight, hi_weight) of the same kind out."""
-    t = ((ang - _RAW_CENTER0) % _RAW_SPAN) * _RECIP_WIDTH
+    t = ((ang - _RAW_CENTER0) % RAW_180) * _RECIP_WIDTH
     lo = t >> _FRAC_BITS
     hi_w = rne_shift(mag * (t & _FRAC_MASK), _FRAC_BITS)
     return lo, (lo + 1) % BIN_COUNT, mag - hi_w, hi_w

@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.cells import (
-    CELL_SIZE,
-    STRIP_CELL_ROWS,
-    CellAccumulator,
-    add_votes,
-    cells_per_frame,
-)
+from hogpipe.cells import STRIP_CELL_ROWS, CellAccumulator, add_votes, cells_per_frame
 from hogpipe.cordic import CordicConfig, grid_index, polar_table
 from hogpipe.errors import DimensionError
-from hogpipe.fixq import CELL_ACC
+from hogpipe.fixq import CELL_ACC, CELL_SIZE
 from hogpipe.golden import golden_hog
 from hogpipe.gradient import GradientStage
 from hogpipe.pipeline import PipelineConfig, run_frame, run_frame_fast

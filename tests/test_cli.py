@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,22 @@ def test_bench_is_deterministic(tmp_path, capsys):
     assert first["pixels_per_step"] == second["pixels_per_step"]
     assert float(first["megapixels_per_second"]) > 0
     assert float(first["fps_equivalent"]) > 0
+
+
+def test_bench_peak_memory_does_not_grow_with_frames(capsys):
+    # bench draws each frame just before its call, so 200 frames peak no
+    # higher than 20 do; holding them all would add 180 frames of 76,800 B
+    def peak(frames: int) -> int:
+        tracemalloc.start()
+        try:
+            argv = ["bench", "--width", "320", "--height", "240", "--frames", str(frames)]
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the vote table and the frame shape's workspace are built once
+    assert peak(200) < peak(20) + 320 * 240
 
 
 def test_bench_bad_dimensions_exit_3(capsys):

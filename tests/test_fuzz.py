@@ -150,6 +150,12 @@ PIXELS_24X16 = bytes(range(256)) + bytes(128)
         # is the first pixel and a full payload runs one byte over
         (b"P5 24 16 255\r\n", PIXELS_24X16, 2),
         (b"P5 24 16 255\r\n", PIXELS_24X16[:-1], 0),
+        # header tokens past the fixed bound: a width too long for int(),
+        # and a file with no whitespace, refused once the bound is passed
+        pytest.param(
+            b"P5 " + b"9" * 5000 + b" 16 255\n", PIXELS_24X16, 2, id="width-5000-digits"
+        ),
+        pytest.param(b"P5" + b"1" * (4 << 20), b"", 2, id="no-whitespace-4MB"),
     ],
 )
 def test_pgm_header_edge_cases(files, header, payload, want):
