@@ -15,7 +15,7 @@ coordinate: each one's row-major position is its count.
 Normalization happens in double precision on the dequantized accumulator
 values by normalize_grid, which the streaming path calls on a 2x2 grid per
 block and the batch path on the whole frame. That one code path keeps the
-two element-exactly interchangeable. block_quads owns the block layout
+two element-exactly interchangeable. block_corners owns the block layout
 for it and for the golden model.
 """
 
@@ -35,13 +35,17 @@ def block_count(cell_cols: int, cell_rows: int) -> int:
     return (cell_cols - 1) * (cell_rows - 1)
 
 
+def block_corners(cells: np.ndarray) -> tuple:
+    """The four views of a (rows, cols, 9) cell grid whose entry (r, c) is
+    a corner of block (r, c), in the one block layout's order: tl, tr, bl, br."""
+    return cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:]
+
+
 def block_quads(cells: np.ndarray) -> np.ndarray:
     """Every overlapping 2x2 neighborhood of a (rows, cols, 9) cell grid,
-    concatenated tl, tr, bl, br with the bins innermost: the one block
-    layout, a (rows - 1, cols - 1, 36) array."""
-    return np.concatenate(
-        [cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:]], axis=2
-    )
+    its corners concatenated with the bins innermost: a (rows - 1,
+    cols - 1, 36) array."""
+    return np.concatenate(block_corners(cells), axis=2)
 
 
 def normalize_grid(cells: np.ndarray) -> np.ndarray:

@@ -15,18 +15,17 @@ and fine limbs with bincounts, which is exact, the high side's totals
 folded one bin up (voting.fold_sides), then add the two limb totals once, rounding as
 math.fsum would. Block denominators split each cell value's square into
 four limbs on fixed grids, sum each limb exactly per cell and then per
-2x2 block, and round the four totals once, again as math.fsum of the
-block's squares would. Both are order-independent, so the vectorized
-reduction is bit-identical to a naive per-pixel loop.
+2x2 block, and round the four totals by one vectorised expansion, as
+math.fsum of the block's squares would. Both are order-independent, so
+the vectorized reduction is bit-identical to a naive per-pixel loop.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_quads
+from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_corners
 from .cells import cells_per_frame, frame_votes, strip_totals
 from .cordic import gradient_grid
 from .errors import DimensionError
@@ -79,9 +78,13 @@ def golden_polar(
 
 
 # Vote weights are below 2**9 on a 2**-61 grid (golden_vote_table checks every
-# gradient pair) and a bin gets at most 64, so for LIMB_BITS in 14..38 both
-# limb totals are exact in any order and one add rounds their sum once, as
-# math.fsum does.
+# gradient pair) and a bin gets at most 64. Rounding a weight to the nearest
+# multiple of 2**-LIMB_BITS leaves a coarse limb of at most 2**9 on that grid
+# and a signed fine limb of at most 2**-(LIMB_BITS + 1) on the 2**-61 grid. A
+# bin's coarse limbs then total at most 2**(15 + LIMB_BITS) of their steps and
+# its fine limbs at most 2**(66 - LIMB_BITS) of theirs, so for LIMB_BITS in
+# 13..38 both totals stay within 2**53 steps and are exact in any order, and
+# one add rounds their sum once, as math.fsum does.
 LIMB_BITS = 26
 
 
@@ -96,8 +99,10 @@ def exact_bincount(votes, shape) -> np.ndarray:
         # one limb buffer, sized by the first strip: no later one is larger
         part = np.empty_like(keys, float) if part is None else part[: keys.size]
         for (coarse, fine), w in zip(sides, weights):
-            np.floor(np.multiply(w, 2.0**LIMB_BITS, out=part), out=part)
-            np.multiply(part, 2.0**-LIMB_BITS, out=part)
+            # w + 2**(52 - LIMB_BITS) lies in a binade whose step is
+            # 2**-LIMB_BITS, so the add rounds w to its nearest multiple
+            np.add(w, 2.0 ** (52 - LIMB_BITS), out=part)
+            np.subtract(part, 2.0 ** (52 - LIMB_BITS), out=part)
             coarse[rows] += strip_totals(coarse[rows], keys, part)
             fine[rows] += strip_totals(fine[rows], keys, np.subtract(w, part, out=w))
     (lo_coarse, lo_fine), (hi_coarse, hi_fine) = sides
@@ -124,25 +129,68 @@ def check_vote_weights(weights: np.ndarray) -> None:
 # rounded square is a multiple of 2**-122 below 2**30. Cutting the square at
 # grids 2**-17, 2**-64 and 2**-111 leaves four limbs of at most 47 bits; a
 # block's 36 of them, summed per cell and then over its four cells, add at
-# most 6 bits, so each limb's total is exact, and one fsum of the four
-# totals rounds the sum once.
+# most 6 bits, so each limb's total is exact, and the four totals are
+# rounded by one vectorised expansion, as math.fsum would.
 _SQUARE_CUTS = (17, 64, 111)
+
+
+def _two_sum(a, b):
+    """a + b rounded, and its exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def fsum_arrays(terms) -> np.ndarray:
+    """Elementwise sum of same-shape float64 arrays, rounded once from the
+    exact total as math.fsum of each element's terms is; no partial sum
+    may overflow."""
+    # grow a non-overlapping expansion (Shewchuk 1997), one term at a time:
+    # parts runs from the smallest component up to the rounded total, and
+    # a component may be zero
+    parts = []
+    for q in terms:
+        grown = []
+        for p in parts:
+            q, err = _two_sum(q, p)
+            grown.append(err)
+        parts = [*grown, q]
+    # signs[k]: sign of the largest nonzero component among parts[:k]
+    signs = [np.zeros_like(parts[0])]
+    for p in parts[:-1]:
+        signs.append(np.where(p != 0.0, np.sign(p), signs[-1]))
+    # math.fsum's walk down from the top: add components while the sum is
+    # exact; where one leaves a nonzero error lo, stop, and keep the sign
+    # of what lies below it
+    hi, lo, tail = parts[-1], np.zeros_like(parts[-1]), signs[0]
+    for y, below in zip(parts[-2::-1], signs[-2::-1]):
+        total = hi + y
+        err = y - (total - hi)
+        walking = lo == 0.0
+        hi = np.where(walking, total, hi)
+        lo = np.where(walking, err, lo)
+        tail = np.where(walking, below, tail)
+    # fsum's half-way correction: lo is half an ulp of hi and the rest
+    # lies on its side, so the exact total rounds away from hi
+    away = hi + 2.0 * lo
+    return np.where((lo * tail > 0.0) & (away - hi == 2.0 * lo), away, hi)
 
 
 def exact_square_sums(cells: np.ndarray) -> np.ndarray:
     """Sum of squares of each 2x2 block's 36 values in a (rows, cols, 9)
     grid of golden cell values, rounded once from the exact total as
     math.fsum of the squares is; a (rows - 1, cols - 1) array."""
-    rest = np.square(cells)
-    limbs = np.empty((*cells.shape[:-1], len(_SQUARE_CUTS) + 1))
-    for i, cut in enumerate(_SQUARE_CUTS):
-        top = np.floor(rest * 2.0**cut) * 2.0**-cut
-        rest -= top
-        np.sum(top, axis=-1, out=limbs[..., i])
-    np.sum(rest, axis=-1, out=limbs[..., -1])
-    quads = limbs[:-1, :-1] + limbs[:-1, 1:] + limbs[1:, :-1] + limbs[1:, 1:]
-    totals = quads.reshape(-1, limbs.shape[-1]).tolist()
-    return np.array(list(map(math.fsum, totals))).reshape(quads.shape[:-1])
+    # each square's limbs, the rest last; their bin sums are exact in any
+    # order, so one matrix product with ones takes them
+    parts = np.empty((len(_SQUARE_CUTS) + 1, *cells.shape))
+    rest = np.square(cells, out=parts[-1])
+    for part, cut in zip(parts, _SQUARE_CUTS):
+        np.floor(np.multiply(rest, 2.0**cut, out=part), out=part)
+        part *= 2.0**-cut
+        rest -= part
+    limbs = parts @ np.ones(cells.shape[-1])
+    quads = limbs[:, :-1, :-1] + limbs[:, :-1, 1:] + limbs[:, 1:, :-1] + limbs[:, 1:, 1:]
+    return fsum_arrays(quads[::-1])  # smallest limb first
 
 
 def golden_votes(gx: np.ndarray, gy: np.ndarray):
@@ -171,8 +219,11 @@ def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
     cells = exact_bincount(frame_votes(luma, golden_vote_table()), (cr, cc, BIN_COUNT))
-    denom = np.sqrt(exact_square_sums(cells) + epsilon * epsilon)
-    blocks = block_quads(cells) / denom[..., None]
+    denom = np.sqrt(exact_square_sums(cells) + epsilon * epsilon)[..., None]
+    blocks = np.empty((*denom.shape[:-1], BLOCK_VALUES))
+    quarters = blocks.reshape(*denom.shape[:-1], 4, BIN_COUNT)
+    for i, corner in enumerate(block_corners(cells)):
+        np.divide(corner, denom, out=quarters[..., i, :])
     return GoldenHog(cells=cells, blocks=blocks)
 
 
@@ -188,15 +239,16 @@ def compare(fixed: HogFrame, gold: GoldenHog, per_stage: bool = False) -> DiffRe
         return DiffReport(0.0, 0.0, 0)
     diff = np.abs(fb - gb)
     rel = diff.sum(axis=1) / np.maximum(np.abs(gb).sum(axis=1), BLOCK_EPSILON)
+    max_abs_err = float(diff.max())
     stage = None
     if per_stage:
         stage = {
-            "block_max_abs_err": float(diff.max()),
+            "block_max_abs_err": max_abs_err,
             "cell_max_abs_err": float(np.max(np.abs(fixed.cell_values() - gold.cells))),
         }
     return DiffReport(
         mean_rel_err=float(rel.mean()),
-        max_abs_err=float(diff.max()),
+        max_abs_err=max_abs_err,
         block_count=fb.shape[0],
         per_stage=stage,
     )

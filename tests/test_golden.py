@@ -17,6 +17,7 @@ from hogpipe.golden import (
     compare,
     exact_bincount,
     exact_square_sums,
+    fsum_arrays,
     golden_hog,
     golden_vote_table,
 )
@@ -193,16 +194,34 @@ def test_golden_table_is_not_built_by_import_or_the_fixed_path():
     assert proc.stdout.split() == ["0"]
 
 
-@pytest.mark.parametrize("low, high", [(2.0**8, 2.0**9), (3.66e-3, 2.0**-8)])
-def test_exact_bincount_is_fsum_on_worst_case_bins(low, high):
-    # 64 votes per bin, all near the largest weight (coarse limb at its
-    # widest) or all near the smallest nonzero one (fine limb at its
-    # widest); a limb split outside 14..38 bits rounds some of these totals
+# vote weights that stress exact_bincount's limb split, drawn as (rng, size)
+BINCOUNT_WEIGHTS = {
+    # all near the largest weight (coarse limb at its widest) or all near
+    # the smallest nonzero one (fine limb at its widest)
+    "256.0-512.0": lambda rng, size: rng.uniform(2.0**8, 2.0**9, size),
+    "0.00366-0.00390625": lambda rng, size: rng.uniform(3.66e-3, 2.0**-8, size),
+    # half a coarse step past a coarse multiple: the split ties
+    "half-steps": lambda rng, size: rng.integers(0, 2**35, size) * 2.0**-26 + 2.0**-27,
+    # within half a coarse step of 2**9: the coarse limb rounds up to 2**9
+    # and the fine limb is negative
+    "below-512": lambda rng, size: 2.0**9 - rng.integers(1, 2**17, size, endpoint=True)
+    * 2.0**-44,
+    "table-max": lambda rng, size: np.full(size, golden_vote_table().weights.max()),
+}
+
+
+@pytest.mark.parametrize("kind", BINCOUNT_WEIGHTS)
+def test_exact_bincount_is_fsum_on_worst_case_bins(kind):
+    # 64 votes per bin. LIMB_BITS of 11 or less, or 39 or more, rounds some
+    # of the first two kinds' totals. At 12, a fine-limb total here can pass
+    # 2**53 steps only where the two sides fold, by one bit, which these
+    # draws do not show
     rng = np.random.default_rng(0)
     # a bin sums 32 low weights keyed to it and 32 high weights keyed to
     # the bin below it (bin 8 for bin 0); two strips of 100 cell rows, each
     # fed both halves of its keys' votes
-    lo_w, hi_w = rng.uniform(low, high, size=(2, 200, BIN_COUNT, 32))
+    lo_w, hi_w = BINCOUNT_WEIGHTS[kind](rng, (2, 200, BIN_COUNT, 32))
+    check_vote_weights(np.stack([lo_w, hi_w]))
     keys = np.repeat(np.arange(100 * BIN_COUNT), 16)
     strips = [
         (rows, keys, lo_w[rows, :, half].ravel(), hi_w[rows, :, half].ravel())
@@ -250,6 +269,92 @@ def test_exact_square_sums_is_fsum_on_worst_case_rows(name):
     want = [math.fsum(row) for row in np.square(quads).tolist()]
     assert got.shape == (39, 49)
     assert np.array_equal(got.ravel(), want)
+
+
+def _exact_square_values(units: int) -> list[float]:
+    """Golden-like cell values whose squares are exact doubles summing to
+    units * 2**-122: multiples a * 2**-61 with at most 26 significant bits
+    in a, picked greedily."""
+    values = []
+    while units:
+        a = math.isqrt(units)
+        drop = max(0, a.bit_length() - 26)
+        a = a >> drop << drop
+        units -= a * a
+        values.append(a * 2.0**-61)
+    return values
+
+
+def _tie_blocks():
+    # a square sum half an ulp past a double whose mantissa is even or odd,
+    # at three scales; exactly on the tie, past it by one 2**-122 square (a
+    # cell value of 2**-61) or by a larger one, and short of it by either.
+    # Where the growing expansion rounds up, as at an odd tie, a TwoSum
+    # error is negative; there are such cases at every scale.
+    cases = {}
+    for top in (28, -20, -60):  # the sum's binade: ulp 2**(top - 52)
+        larger = 2 ** max(1, (top + 69) // 2 - 10)  # a breaker's root, in 2**-61
+        for parity in (0, 1):
+            tie = 2 ** (top + 122) + parity * 2 ** (top + 70) + 2 ** (top + 69)
+            name = f"2^{top}-{'odd' if parity else 'even'}"
+            cases[f"{name}-tie"] = _exact_square_values(tie)
+            cases[f"{name}-over-2^-122"] = _exact_square_values(tie) + [2.0**-61]
+            cases[f"{name}-over-larger"] = _exact_square_values(tie) + [larger * 2.0**-61]
+            cases[f"{name}-under-2^-122"] = _exact_square_values(tie - 1)
+            cases[f"{name}-under-larger"] = _exact_square_values(tie - larger**2)
+    return cases
+
+
+TIE_BLOCKS = _tie_blocks()
+
+
+@pytest.mark.parametrize("name", TIE_BLOCKS)
+def test_exact_square_sums_is_fsum_on_ties(name):
+    values = TIE_BLOCKS[name]
+    assert len(values) <= 4 * BIN_COUNT
+    assert all(v < 23_081.0 and v * 2.0**61 == int(v * 2.0**61) for v in values)
+    cells = np.zeros(4 * BIN_COUNT)
+    cells[: len(values)] = values
+    # spread over the block's four cells
+    cells = cells.reshape(BIN_COUNT, 2, 2).transpose(1, 2, 0)
+    want = math.fsum(np.square(values).tolist())
+    if name.endswith("-tie"):  # the construction is a tie: fsum rounds to even
+        assert want == math.fsum(np.square(values[:1]).tolist()) * (
+            1.0 + (2.0**-51 if "odd" in name else 0.0)
+        )
+    assert exact_square_sums(cells).tolist() == [[want]]
+
+
+def test_expansion_rounds_ties_with_negative_errors_as_fsum():
+    # limb totals of 2**32 + 2**-21 - 2**-122 (and + 2**-20 for an odd
+    # mantissa): the two smallest limbs add to 2**-64 - 2**-122, which
+    # rounds up and leaves -2**-122 below the tie; then the same past the
+    # tie and further short of it, so neighbouring elements' masks differ
+    t0 = np.full(6, 2.0**32)
+    t1 = np.array([0, 1, 0, 1, 0, 1]) * 2.0**-20 + 2.0**-21 - 2.0**-64
+    t2 = np.full(6, 2.0**-64 - 2.0**-111)
+    t3 = np.array([1, 1, 2, 2, 0, 0]) * (2.0**-111 - 2.0**-122)
+    got = fsum_arrays([t3, t2, t1, t0])
+    want = [math.fsum(row) for row in np.stack([t0, t1, t2, t3], axis=1).tolist()]
+    assert want[:2] == [2.0**32, 2.0**32 + 2.0**-20]  # just short of the tie
+    assert np.array_equal(got, want)
+
+
+# limb totals inside exact_square_sums' bounds: 36 limbs of at most 47 bits
+# on the grids 2**-17, 2**-64 and 2**-111, and 36 rests of at most 11 bits
+# on the 2**-122 grid
+_LIMB_TOTALS = st.tuples(
+    *(st.integers(0, 36 * 2**47 - 1).map(lambda k, g=g: k * 2.0**-g) for g in (17, 64, 111)),
+    st.integers(0, 36 * 2**11 - 1).map(lambda k: k * 2.0**-122),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LIMB_TOTALS, min_size=1, max_size=20))
+def test_expansion_is_fsum_on_limb_totals(rows):
+    limbs = np.array(rows)
+    got = fsum_arrays(limbs[:, ::-1].T)  # smallest limb first
+    assert np.array_equal(got, [math.fsum(row) for row in rows])
 
 
 # six corpus textures plus the ramp, noise and blob generators at 160x128,

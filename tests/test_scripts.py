@@ -77,3 +77,18 @@ def test_make_test_images_writes_decodable_frames(tmp_path):
     for path in lines:
         assert Path(path).parent == tmp_path
         assert load_luma(path).luma.shape == (32, 32)
+
+
+def test_output_digest_repeats_and_names_every_output():
+    args = ["output_digest.py", "--width", "64", "--height", "64", "--count", "9"]
+    first, second = run_script(*args), run_script(*args)
+    assert first == second
+    names = [line.split()[1] for line in first]
+    assert names == [
+        "fast_cells", "fast_blocks", "golden_cells", "golden_blocks",
+        "compare_text", "compare_text_per_stage",
+    ]
+    assert all(len(line.split()[0]) == 64 for line in first)
+    # each digest covers every frame: the ninth frame follows the seed
+    other = run_script(*args, "--seed", "1")
+    assert all(a.split()[0] != b.split()[0] for a, b in zip(first, other))
