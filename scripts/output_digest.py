@@ -2,9 +2,11 @@
 outputs over a corpus, to show that two trees compute the same bits.
 
 Prints one line per output: run_frame_fast cells and blocks, golden_hog
-cells and blocks, and the compare report's text without and with the
-per-stage breakdown. Each digest covers that output on every corpus frame
-in order, arrays with their dtype and shape.
+cells and blocks, the compare report's text without and with the
+per-stage breakdown, and the streaming run_frame's cells and blocks on
+the frame's top-left 64x64 crop (the whole frame if smaller). Each digest
+covers that output on every corpus frame in order, arrays with their
+dtype and shape.
 
 Usage: python scripts/output_digest.py [--width 640] [--height 480]
        [--count 20] [--seed 0]
@@ -15,7 +17,7 @@ import hashlib
 
 from hogpipe.errors import DimensionError
 from hogpipe.golden import compare, golden_hog
-from hogpipe.pipeline import PipelineConfig, run_frame_fast
+from hogpipe.pipeline import PipelineConfig, run_frame, run_frame_fast
 from hogpipe.textures import make_corpus
 
 OUTPUTS = (
@@ -25,19 +27,29 @@ OUTPUTS = (
     "golden_blocks",
     "compare_text",
     "compare_text_per_stage",
+    "stream_cells",
+    "stream_blocks",
 )
+STREAM_CROP = 64  # side of the crop the per-pixel streaming path runs on
 
 
 def frame_outputs(luma, cfg):
     """The outputs of one frame, in OUTPUTS order, as bytes."""
     hog, _ = run_frame_fast(luma, cfg)
     gold = golden_hog(luma)
-    arrays = [hog.cells, hog.blocks, gold.cells, gold.blocks]
     texts = [compare(hog, gold, per_stage=flag).as_text() for flag in (False, True)]
+    crop = luma[:STREAM_CROP, :STREAM_CROP]
+    streamed, _ = run_frame(crop, PipelineConfig(crop.shape[1], crop.shape[0]))
     return [
-        *(f"{a.dtype.str}{a.shape}".encode() + a.tobytes() for a in arrays),
+        *map(array_bytes, (hog.cells, hog.blocks, gold.cells, gold.blocks)),
         *(t.encode() + b"\n" for t in texts),
+        *map(array_bytes, (streamed.cells, streamed.blocks)),
     ]
+
+
+def array_bytes(a):
+    """An array's dtype, shape and contents, as bytes."""
+    return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
 
 
 def main() -> None:

@@ -12,11 +12,13 @@ keeps a ring of one cell row plus one cell; the block at (r-1, c-1) is
 emitted the moment cell (r, c) arrives. Cells and blocks carry no
 coordinate: each one's row-major position is its count.
 
-Normalization happens in double precision on the dequantized accumulator
-values by normalize_grid, which the streaming path calls on a 2x2 grid per
-block and the batch path on the whole frame. That one code path keeps the
-two element-exactly interchangeable. block_corners owns the block layout
-for it and for the golden model.
+Every path squares each cell once, as a hardware block stage does, and
+sums a block's four per-cell square sums; normalize_blocks is their one
+division, dequantize their one conversion of raw cells. A raw cell is
+below CELL_ACC.raw_max < 2**22, so its value's square is a multiple of
+2**-12 below 2**32 and a block's sum of 36 is one below 2**38: 50 bits,
+exact in float64 in any order, so streamed and batch blocks agree
+element-exactly. block_corners owns the block layout.
 """
 
 from dataclasses import dataclass
@@ -36,29 +38,36 @@ def block_count(cell_cols: int, cell_rows: int) -> int:
 
 
 def block_corners(cells: np.ndarray) -> tuple:
-    """The four views of a (rows, cols, 9) cell grid whose entry (r, c) is
+    """The four views of a (rows, cols, ...) cell grid whose entry (r, c) is
     a corner of block (r, c), in the one block layout's order: tl, tr, bl, br."""
     return cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:]
 
 
-def block_quads(cells: np.ndarray) -> np.ndarray:
-    """Every overlapping 2x2 neighborhood of a (rows, cols, 9) cell grid,
-    its corners concatenated with the bins innermost: a (rows - 1,
-    cols - 1, 36) array."""
-    return np.concatenate(block_corners(cells), axis=2)
+def dequantize(raw) -> np.ndarray:
+    """Raw cell accumulators in real magnitude units, as float64."""
+    return np.asarray(raw) / MAG.scale
+
+
+def normalize_blocks(values: np.ndarray, square_sums: np.ndarray) -> np.ndarray:
+    """Every overlapping 2x2 block of a (rows, cols, 9) grid of cell values,
+    divided by its norm from the (rows - 1, cols - 1) block square sums, in
+    place in the one output copy: a (rows - 1, cols - 1, 36) float64 array."""
+    blocks = np.concatenate(block_corners(values), axis=-1)
+    blocks /= np.sqrt(square_sums + BLOCK_EPSILON * BLOCK_EPSILON)[..., None]
+    return blocks
 
 
 def normalize_grid(cells: np.ndarray) -> np.ndarray:
     """Every overlapping 2x2 block of a raw (rows, cols, 9) cell grid,
     L2-normalized: a (rows - 1, cols - 1, 36) float64 array."""
-    quads = block_quads(cells.astype(np.float64) / MAG.scale)
-    denom = np.sqrt(np.sum(np.square(quads), axis=2) + BLOCK_EPSILON * BLOCK_EPSILON)
-    return quads / denom[..., None]
+    values = dequantize(cells)
+    squares = np.einsum("...i,...i", values, values)
+    return normalize_blocks(values, sum(block_corners(squares)))
 
 
 class BlockAssembler:
     """Turns a row-major stream of cell bins into a row-major stream of
-    normalized blocks, through a ring of cells_cols + 1 cells."""
+    normalized blocks through a ring of cells_cols + 1 (values, square sum) cells."""
 
     def __init__(self, cells_cols: int):
         if cells_cols < 1:
@@ -78,14 +87,14 @@ class BlockAssembler:
         values of the block it completes, else None."""
         n, cols, cap, ring = self._next, self.cells_cols, self._cap, self._ring
         self._next += 1
-        out = None
+        values = dequantize(bins)
+        tl = ring[n % cap]  # cell n - cols - 1, the top-left of a block
+        ring[n % cap] = br = values, values @ values  # squared once, as it closes
         if n > cols and n % cols:
-            # slot n % cap still holds cell n - cols - 1, the top-left
-            tl, tr, bl = ring[n % cap], ring[(n - cols) % cap], ring[(n - 1) % cap]
-            grid = np.array([[tl, tr], [bl, bins]], dtype=np.int64)
-            out = normalize_grid(grid)[0, 0]
-        ring[n % cap] = bins
-        return out
+            tr, bl = ring[(n - cols) % cap], ring[(n - 1) % cap]
+            grid = np.array([[tl[0], tr[0]], [bl[0], values]])
+            return normalize_blocks(grid, np.array([[tl[1] + tr[1] + bl[1] + br[1]]]))[0, 0]
+        return None
 
 
 @dataclass(frozen=True)
@@ -102,4 +111,4 @@ class HogFrame:
 
     def cell_values(self) -> np.ndarray:
         """Cell accumulators dequantized to real magnitude units."""
-        return self.cells.astype(np.float64) / MAG.scale
+        return dequantize(self.cells)

@@ -13,11 +13,12 @@ and built on the first golden call; as on the fixed path, each pixel's
 two weights are keyed by its low bin. Cell bins sum each weight's coarse
 and fine limbs with bincounts, which is exact, the high side's totals
 folded one bin up (voting.fold_sides), then add the two limb totals once, rounding as
-math.fsum would. Block denominators split each cell value's square into
+math.fsum would. Block square sums split each cell value's square into
 four limbs on fixed grids, sum each limb exactly per cell and then per
-2x2 block, and round the four totals by one vectorised expansion, as
-math.fsum of the block's squares would. Both are order-independent, so
-the vectorized reduction is bit-identical to a naive per-pixel loop.
+2x2 block, and round the four totals as math.fsum of the block's squares
+would; blocks.normalize_blocks divides as on the fixed paths. Both sums
+are order-independent, so the vectorized reduction is bit-identical to a
+naive per-pixel loop.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_corners
+from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_corners, normalize_blocks
 from .cells import cells_per_frame, frame_votes, strip_totals
 from .cordic import gradient_grid
 from .errors import DimensionError
@@ -188,9 +189,9 @@ def exact_square_sums(cells: np.ndarray) -> np.ndarray:
         np.floor(np.multiply(rest, 2.0**cut, out=part), out=part)
         part *= 2.0**-cut
         rest -= part
-    limbs = parts @ np.ones(cells.shape[-1])
-    quads = limbs[:, :-1, :-1] + limbs[:, :-1, 1:] + limbs[:, 1:, :-1] + limbs[:, 1:, 1:]
-    return fsum_arrays(quads[::-1])  # smallest limb first
+    limbs = np.moveaxis(parts @ np.ones(cells.shape[-1]), 0, -1)  # (rows, cols, 4)
+    totals = np.moveaxis(sum(block_corners(limbs)), -1, 0)
+    return fsum_arrays(totals[::-1])  # smallest limb first
 
 
 def golden_votes(gx: np.ndarray, gy: np.ndarray):
@@ -215,16 +216,14 @@ def golden_vote_table() -> VoteTable:
 
 
 def golden_hog(luma: np.ndarray, epsilon: float = BLOCK_EPSILON) -> GoldenHog:
+    """The exact cells and blocks; epsilon may only be BLOCK_EPSILON."""
+    if epsilon != BLOCK_EPSILON:
+        raise ValueError(f"the block epsilon is fixed at {BLOCK_EPSILON}, got {epsilon}")
     luma = luma8(luma)
     h, w = luma.shape
     cc, cr = cells_per_frame(w, h)
     cells = exact_bincount(frame_votes(luma, golden_vote_table()), (cr, cc, BIN_COUNT))
-    denom = np.sqrt(exact_square_sums(cells) + epsilon * epsilon)[..., None]
-    blocks = np.empty((*denom.shape[:-1], BLOCK_VALUES))
-    quarters = blocks.reshape(*denom.shape[:-1], 4, BIN_COUNT)
-    for i, corner in enumerate(block_corners(cells)):
-        np.divide(corner, denom, out=quarters[..., i, :])
-    return GoldenHog(cells=cells, blocks=blocks)
+    return GoldenHog(cells=cells, blocks=normalize_blocks(cells, exact_square_sums(cells)))
 
 
 def compare(fixed: HogFrame, gold: GoldenHog, per_stage: bool = False) -> DiffReport:

@@ -14,16 +14,16 @@ each item's position is its count in stream order. The tap records
 (GradientPair, PolarGradient, BinVote, CellHistogram, BlockDescriptor)
 are defined here and built, with that position, only when a Tap asks.
 
-run_frame is the instrumented streaming path; its polar and voting
-stages read each pixel's low bin and packed weight from the memoized
-vote table (the polar table only for the polar tap), and the cell stage
-splits each finished cell's totals. run_frame_fast computes the identical
-HogFrame with array arithmetic (not thread-safe): cells.frame_votes
-gathers each strip's low-bin keys and packed weights from the same table,
-and cells.add_votes bincounts them once per strip, splits the low and
-high sides and adds the high side one bin up. Every stage of it is integer-
-identical to the scalar datapath, so the two outputs match element-exactly.
-It owns no datapath decision: each comes from its stage's module.
+run_frame is the instrumented streaming path; it reads each pixel's low
+bin and packed weight from the memoized vote table (the polar table only
+for the polar tap), splits each finished cell's totals and squares each
+cell once in the block ring. run_frame_fast computes the identical HogFrame
+with arrays (not thread-safe): cells.frame_votes gathers each strip's keys
+and packed weights from the same table, cells.add_votes bincounts them and
+adds each high side one bin up, and blocks.normalize_grid squares each cell
+once. Its cells are integer-identical to the scalar datapath's and its
+block square sums exact; both paths divide in blocks.normalize_blocks, so
+the outputs match element-exactly. It owns no datapath decision.
 """
 
 from dataclasses import dataclass, field

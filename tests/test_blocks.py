@@ -8,7 +8,7 @@ from hogpipe.blocks import (
     block_count,
     normalize_grid,
 )
-from hogpipe.fixq import MAG
+from hogpipe.fixq import CELL_ACC, MAG
 from oracles import ref_normalize_block
 
 
@@ -69,6 +69,29 @@ def test_against_fsum_reference():
         # every value is a multiple of 2**-6 below 2**16, so each square and
         # their sum are exact in float64 and the two agree bit for bit
         assert np.array_equal(b, ref_normalize_block(raws.ravel().tolist()))
+
+
+def test_block_square_sums_fit_a_double_exactly():
+    # the bound behind per-cell square sums: a block's 36 raw squares sum
+    # to an integer below 2**50, so after dequantization (2**-12 per raw
+    # square unit) every partial sum of them is exact in float64
+    assert BLOCK_VALUES * CELL_ACC.raw_max**2 < 2**50
+
+
+BOUND_GRIDS = {
+    "all-max": np.full((2, 2, 9), CELL_ACC.raw_max),
+    "max-zero-one": np.resize([CELL_ACC.raw_max, 0, 1, CELL_ACC.raw_max], (2, 2, 9)),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_GRIDS)
+def test_paths_agree_bit_for_bit_at_the_accumulator_bound(name):
+    grid = BOUND_GRIDS[name]
+    (streamed,) = stream_blocks(grid)
+    batch = normalize_grid(grid)[0, 0]
+    ref = ref_normalize_block(grid.ravel().tolist())
+    assert np.array_equal(streamed, batch)
+    assert np.array_equal(batch, ref)
 
 
 def test_concatenation_order_is_row_major():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.blocks import HogFrame, block_quads
+from hogpipe.blocks import BLOCK_EPSILON, HogFrame, block_corners
 from hogpipe.errors import DimensionError
 from hogpipe.golden import (
     DiffReport,
@@ -74,6 +74,14 @@ def test_matches_naive_oracle_exactly_other_shapes(shape):
     cells, blocks = ref_hog(luma)
     assert np.array_equal(g.cells, cells)
     assert np.array_equal(g.blocks, blocks)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-4, 2e-3, float("nan")])
+def test_golden_hog_rejects_any_epsilon_but_the_block_one(epsilon):
+    luma = np.zeros((16, 16), dtype=np.uint8)
+    with pytest.raises(ValueError, match="block epsilon"):
+        golden_hog(luma, epsilon)
+    assert np.array_equal(golden_hog(luma, BLOCK_EPSILON).blocks, golden_hog(luma).blocks)
 
 
 def fixed_and_golden(luma):
@@ -265,7 +273,7 @@ def test_exact_square_sums_is_fsum_on_worst_case_rows(name):
     # the rows' values as a 40x50 cell grid; its 39x49 blocks overlap
     cells = rows.reshape(40, 50, BIN_COUNT)
     got = exact_square_sums(cells)
-    quads = block_quads(cells).reshape(-1, 4 * BIN_COUNT)
+    quads = np.concatenate(block_corners(cells), axis=2).reshape(-1, 4 * BIN_COUNT)
     want = [math.fsum(row) for row in np.square(quads).tolist()]
     assert got.shape == (39, 49)
     assert np.array_equal(got.ravel(), want)

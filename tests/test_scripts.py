@@ -86,9 +86,13 @@ def test_output_digest_repeats_and_names_every_output():
     names = [line.split()[1] for line in first]
     assert names == [
         "fast_cells", "fast_blocks", "golden_cells", "golden_blocks",
-        "compare_text", "compare_text_per_stage",
+        "compare_text", "compare_text_per_stage", "stream_cells", "stream_blocks",
     ]
     assert all(len(line.split()[0]) == 64 for line in first)
+    # a 64x64 frame is its own streaming crop, and the two paths agree
+    digest = {name: d for d, name in map(str.split, first)}
+    assert digest["stream_cells"] == digest["fast_cells"]
+    assert digest["stream_blocks"] == digest["fast_blocks"]
     # each digest covers every frame: the ninth frame follows the seed
     other = run_script(*args, "--seed", "1")
     assert all(a.split()[0] != b.split()[0] for a, b in zip(first, other))
