@@ -6,8 +6,8 @@ bins innermost, then L2-normalized as out = v / sqrt(sum(v^2) + eps^2)
 with eps = 1e-3. The epsilon sits inside the square root, so an all-zero
 neighborhood maps to the zero vector without a special case.
 
-Blocks overlap with a stride of one cell: a cells_rows x cells_cols grid
-yields (cells_rows - 1) x (cells_cols - 1) blocks. Streaming assembly
+Blocks overlap with a stride of one cell: block_grid is the one shape of
+the blocks of a cell grid, (rows - 1, cols - 1). Streaming assembly
 keeps a ring of one cell row plus one cell; the block at (r-1, c-1) is
 emitted the moment cell (r, c) arrives. Cells and blocks carry no
 coordinate: each one's row-major position is its count.
@@ -27,14 +27,15 @@ import numpy as np
 
 from .errors import DimensionError
 from .fixq import MAG
+from .voting import BIN_COUNT
 
 BLOCK_EPSILON = 1e-3
-BLOCK_VALUES = 36
+BLOCK_VALUES = 4 * BIN_COUNT  # the bins of a block's 2x2 cells
 
 
-def block_count(cell_cols: int, cell_rows: int) -> int:
-    """Overlapping 2x2 blocks in a cell_cols x cell_rows cell grid."""
-    return (cell_cols - 1) * (cell_rows - 1)
+def block_grid(cell_rows: int, cell_cols: int) -> tuple[int, int]:
+    """(rows, cols) of the overlapping 2x2 blocks of a cell grid."""
+    return cell_rows - 1, cell_cols - 1
 
 
 def block_corners(cells: np.ndarray) -> tuple:
@@ -108,7 +109,3 @@ class HogFrame:
 
     cells: np.ndarray  # int64, (cell_rows, cell_cols, 9) raw accumulators
     blocks: np.ndarray  # float64, (cell_rows - 1, cell_cols - 1, 36)
-
-    def cell_values(self) -> np.ndarray:
-        """Cell accumulators dequantized to real magnitude units."""
-        return dequantize(self.cells)

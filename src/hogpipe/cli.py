@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 I/O, 2 malformed input, 3 bad dimensions,
 """
 
 import argparse
+import math
 import struct
 import sys
 import time
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detector
-from .blocks import BLOCK_VALUES, block_count
-from .cells import cells_per_frame
+from .blocks import BLOCK_VALUES, block_grid, dequantize
 from .errors import CountMismatch, DimensionError, FormatError, LayoutError
+from .fixq import LUMA
 from .golden import compare, golden_hog
 from .ingest import load_luma
 from .pipeline import PipelineConfig, run_frame_fast
@@ -60,7 +61,7 @@ def feature_count(view: int, width_cells: int, height_cells: int) -> int:
     if view == VIEW_BLOCK_NORM:
         if width_cells < 2 or height_cells < 2:
             raise FormatError(f"block view needs at least 2x2 cells, got {grid}")
-        return block_count(width_cells, height_cells) * BLOCK_VALUES
+        return math.prod(block_grid(height_cells, width_cells)) * BLOCK_VALUES
     raise FormatError(f"unknown view {view}")
 
 
@@ -108,20 +109,19 @@ def _print_stats(pairs) -> None:
 def cmd_extract(args) -> int:
     frame = load_luma(args.input, bayer=args.bayer)
     cfg = PipelineConfig(width=frame.width, height=frame.height)
-    wc, hc = cells_per_frame(cfg.width, cfg.height)
     if args.golden:
         g = golden_hog(frame.luma)
         cells, blocks = g.cells, g.blocks
         _print_stats(
             [
                 ("pixels_in", cfg.width * cfg.height),
-                ("cells_out", wc * hc),
-                ("blocks_out", block_count(wc, hc)),
+                ("cells_out", cells.size // BIN_COUNT),
+                ("blocks_out", blocks.size // BLOCK_VALUES),
             ]
         )
     else:
         hog, stats = run_frame_fast(frame.luma, cfg)
-        cells, blocks = hog.cell_values(), hog.blocks
+        cells, blocks = dequantize(hog.cells), hog.blocks
         _print_stats(
             [
                 ("pixels_in", stats.pixels_in),
@@ -132,6 +132,7 @@ def cmd_extract(args) -> int:
                 ("pixels_per_step", f"{stats.pixels_per_step:.6f}"),
             ]
         )
+    hc, wc = cells.shape[:2]
     if args.view == "cell":
         write_features(args.output, VIEW_CELL_RAW, wc, hc, cells)
     else:
@@ -155,7 +156,7 @@ def cmd_bench(args) -> int:
     vote_table(cfg.cordic)  # build the memoized tables outside the timed loop
     elapsed, stats = 0.0, None
     for _ in range(args.frames):
-        luma = rng.integers(0, 256, size=(args.height, args.width), dtype=np.uint8)
+        luma = rng.integers(0, LUMA.raw_max + 1, size=(args.height, args.width), dtype=np.uint8)
         t0 = time.perf_counter()
         _, stats = run_frame_fast(luma, cfg)
         elapsed += time.perf_counter() - t0

@@ -18,12 +18,14 @@ is folded to [0, 180) degrees (RAW_180): negative angles gain 180, and
 
 polar_raw_arrays is the one CORDIC core; it rounds through fixq.rne_shift.
 The tests pin it and the table on every gradient pair to a scalar oracle
-that shares no code with it. A PolarTable memoizes the full 511x511
-gradient grid at grid_index in int32 arrays, built from the gx, gy >= 0
-quadrant by the fold's two exact symmetries (magnitude by |gx|, |gy|;
-angle t to 180 - t where gx * gy < 0). voting.vote_table votes it once for
-both the streaming and the vectorized path; the streaming model reads the
-PolarTable's arrays itself only for its polar tap.
+that shares no code with it. A gradient component lies within
++-fixq.LUMA.raw_max, so every pair sits on a GRID_SIDE x GRID_SIDE grid
+(511 x 511) whose one layout is grid_index. A PolarTable memoizes that
+grid in int32 arrays, built from the gx, gy >= 0 quadrant by the fold's
+two exact symmetries (magnitude by |gx|, |gy|; angle t to 180 - t where
+gx * gy < 0). voting.vote_table votes it once for both the streaming and
+the vectorized path; the streaming model reads the PolarTable's arrays
+itself only for its polar tap.
 """
 
 import math
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fixq import ANG, CELL_ACC, CELL_SIZE, MAG, rne_shift
+from .fixq import ANG, CELL_ACC, CELL_SIZE, LUMA, MAG, rne_shift
 
 RAW_180 = 180 * ANG.scale
 GAIN_FRAC_BITS = 16  # of CordicConfig.gain_reciprocal
@@ -41,21 +43,18 @@ GAIN_FRAC_BITS = 16  # of CordicConfig.gain_reciprocal
 # CORDIC gain the iterated x stays below 2^23 (24-bit signed headroom).
 _NORM_BIT = 20
 
-_BITLEN = np.array([v.bit_length() for v in range(256)], dtype=np.int64)
-
-# Gradient components span [-255, 255], so every reachable pair sits on a
-# GRID_SIDE x GRID_SIDE grid, flattened with gx major.
-GRID_SIDE = 511
+GRID_SIDE = 2 * LUMA.raw_max + 1  # of the gradient grid, flattened with gx major
+_GRID_CENTER = GRID_SIDE * GRID_SIDE // 2  # grid_index(0, 0)
 
 
 def grid_index(gx, gy):
     """Flat grid index of a gradient pair; ints or integer arrays."""
-    return (gx + 255) * GRID_SIDE + (gy + 255)
+    return gx * GRID_SIDE + gy + _GRID_CENTER
 
 
 def gradient_grid() -> tuple[np.ndarray, np.ndarray]:
     """Every gradient pair as flat int64 (gx, gy) arrays in grid_index order."""
-    side = np.arange(-255, 256, dtype=np.int64)
+    side = np.arange(GRID_SIDE, dtype=np.int64) - LUMA.raw_max
     return np.repeat(side, GRID_SIDE), np.tile(side, GRID_SIDE)
 
 
@@ -90,8 +89,8 @@ class CordicConfig:
 def polar_raw_arrays(
     gx: np.ndarray, gy: np.ndarray, cfg: CordicConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CORDIC core, on integer arrays of gradient components in
-    [-255, 255]. Returns int64 magnitude raw, int64 orientation raw and the
+    """The CORDIC core, on integer arrays of gradient components within
+    +-LUMA.raw_max. Returns int64 magnitude raw, int64 orientation raw and the
     float64 precise compensated magnitude before the U10.6 rounding.
     (0, 0) maps to (0, 0) by convention.
     """
@@ -106,7 +105,7 @@ def polar_raw_arrays(
     mirror = gx < 0
     gx = np.where(mirror, -gx, gx)
     m = np.maximum(np.maximum(gx, gy), 1)
-    shift = _NORM_BIT + 1 - _BITLEN[m]
+    shift = _NORM_BIT + 1 - np.frexp(m)[1].astype(np.int64)  # frexp: m's bit length
     x = gx << shift
     y = gy << shift
     z = np.zeros_like(x)

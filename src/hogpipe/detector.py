@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import BLOCK_VALUES, block_count
+from .blocks import BLOCK_VALUES, block_grid
 from .errors import CountMismatch, FormatError, OutOfBoundsError
 from .fixq import CELL_SIZE
 
@@ -55,7 +55,7 @@ class SvmModel:
 
     @property
     def feature_count(self) -> int:
-        return block_count(self.window_cell_cols, self.window_cell_rows) * BLOCK_VALUES
+        return math.prod(block_grid(self.window_cell_rows, self.window_cell_cols)) * BLOCK_VALUES
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ class Detection:
 def score_window(frame, cell_x: int, cell_y: int, model: SvmModel) -> float:
     """Score one window whose top-left cell is (cell_x, cell_y)."""
     blocks = frame.blocks
-    bw = model.window_cell_cols - 1
-    bh = model.window_cell_rows - 1
+    bh, bw = block_grid(model.window_cell_rows, model.window_cell_cols)
     rows, cols = blocks.shape[0], blocks.shape[1]
     if cell_x < 0 or cell_y < 0 or cell_x + bw > cols or cell_y + bh > rows:
         raise OutOfBoundsError(
@@ -87,16 +86,13 @@ def detect(frame, model: SvmModel, stride_cells: int = 1) -> list[Detection]:
         raise ValueError("stride must be at least one cell")
     blocks = frame.blocks
     rows, cols = blocks.shape[:2]
-    bw = model.window_cell_cols - 1
-    bh = model.window_cell_rows - 1
+    bh, bw = block_grid(model.window_cell_rows, model.window_cell_cols)
     ny, nx = rows - bh + 1, cols - bw + 1
     if ny < 1 or nx < 1:
         return []
     # per[by, bx, r, c]: block (r, c) dotted with the window's weights for
     # its block (by, bx); the window at (y, x) sums per[by, bx, y + by, x + bx]
-    per = model.weights.reshape(bh * bw, BLOCK_VALUES) @ blocks.reshape(
-        rows * cols, BLOCK_VALUES
-    ).T
+    per = model.weights.reshape(-1, BLOCK_VALUES) @ blocks.reshape(-1, BLOCK_VALUES).T
     per = per.reshape(bh, bw, rows, cols)
     scores = np.zeros((ny, nx))
     for by in range(bh):

@@ -35,11 +35,12 @@ class QFormat:
         return (1 << (self.int_bits + self.frac_bits)) - 1
 
 
-# Pipeline register formats. MAG leaves headroom for the uncompensated
-# CORDIC gain, ANG holds degrees in [0, 180) at 13 fractional bits,
-# CELL_ACC holds the 64 votes per bin of one CELL_SIZE x CELL_SIZE cell.
+# Pipeline register formats. LUMA is the pixel, MAG leaves headroom for the
+# uncompensated CORDIC gain, ANG holds degrees in [0, 180) at 13 fractional
+# bits, CELL_ACC holds the 64 votes per bin of one CELL_SIZE x CELL_SIZE cell.
 # The default CORDIC peaks at 23080 raw magnitude and 64 * 23080 < 2**22;
 # the polar table build enforces both bounds.
+LUMA = QFormat(int_bits=8, frac_bits=0)
 MAG = QFormat(int_bits=10, frac_bits=6)
 ANG = QFormat(int_bits=8, frac_bits=13)
 CELL_SIZE = 8

@@ -26,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_corners, normalize_blocks
+from .blocks import (
+    BLOCK_EPSILON, BLOCK_VALUES, HogFrame, block_corners, dequantize, normalize_blocks
+)
 from .cells import cells_per_frame, frame_votes, strip_totals
 from .cordic import gradient_grid
 from .errors import DimensionError
@@ -243,7 +245,7 @@ def compare(fixed: HogFrame, gold: GoldenHog, per_stage: bool = False) -> DiffRe
     if per_stage:
         stage = {
             "block_max_abs_err": max_abs_err,
-            "cell_max_abs_err": float(np.max(np.abs(fixed.cell_values() - gold.cells))),
+            "cell_max_abs_err": float(np.max(np.abs(dequantize(fixed.cells) - gold.cells))),
         }
     return DiffReport(
         mean_rel_err=float(rel.mean()),

@@ -14,8 +14,8 @@ Differences are gx = I(r, c+1) - I(r, c-1) and gy = I(r+1, c) - I(r-1, c)
 with coordinates clamped to the frame (replicate-edge border policy). After
 the last pixel of a frame, drain() runs the remaining warm-up's worth of
 steps to flush the tail; a W x H frame yields exactly W*H pairs over
-W*H + latency steps. A pixel that is not an integer in 0..255 is refused
-with LayoutError, as luma8 refuses a whole frame.
+W*H + latency steps. A bool, or a pixel that is not an integer in LUMA's
+0..255, is refused with LayoutError, as luma8 refuses a whole frame.
 
 warmup_steps is the one latency formula and frame_gradients the one array
 difference (on pad_frame's output); the vectorized and golden paths use them.
@@ -27,6 +27,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimensionError, LayoutError
+from .fixq import LUMA
+
+_LUMA_MAX = LUMA.raw_max  # bound once: push_pixel checks every pixel against it
 
 
 def warmup_steps(width: int) -> int:
@@ -35,13 +38,13 @@ def warmup_steps(width: int) -> int:
 
 
 def luma8(luma) -> np.ndarray:
-    """The frame as an array, if uint8 (not scanned) or integers in 0..255;
-    else LayoutError. Every gradient then lies within +-255."""
+    """The frame as an array, if uint8 (not scanned) or integers in LUMA's
+    range; else LayoutError. Every gradient then lies within +-LUMA.raw_max."""
     luma = np.asarray(luma)
     if luma.dtype != np.uint8 and not (
-        luma.dtype.kind in "iu" and (luma.size == 0 or 0 <= luma.min() <= luma.max() <= 255)
+        luma.dtype.kind in "iu" and (luma.size == 0 or 0 <= luma.min() <= luma.max() <= _LUMA_MAX)
     ):
-        raise LayoutError(f"luma must hold 8-bit values 0..255, got {luma.dtype}")
+        raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma.dtype}")
     return luma
 
 
@@ -94,8 +97,8 @@ class GradientStage:
             px = operator.index(luma)
         except TypeError:
             px = -1  # not an integer
-        if not 0 <= px <= 255:
-            raise LayoutError(f"luma must hold 8-bit values 0..255, got {luma!r}")
+        if not 0 <= px <= _LUMA_MAX or luma is True or luma is False:
+            raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}")
         self._ring[self._pushed % self._cap] = px
         self._pushed += 1
         if self._pushed > self._latency:

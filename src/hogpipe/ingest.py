@@ -1,7 +1,7 @@
 """Image ingest: binary netpbm decoding, Bayer demosaic, grayscale.
 
-Only the binary variants P5 (grayscale) and P6 (RGB) with maxval 255 are
-accepted. A frame is a uint8 array whose shape carries its layout:
+Only the binary variants P5 (grayscale) and P6 (RGB) with maxval 255 (LUMA)
+are accepted. A frame is a uint8 array whose shape carries its layout:
 decode_image gives (height, width) for a P5 and (height, width, 3) for a
 P6. A Bayer frame is a P5 payload read as an RGGB mosaic;
 demosaic_bilinear takes the 2-D mosaic to (height, width, 3) RGB,
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError, LayoutError
+from .fixq import LUMA
 
 MAX_TOKEN = 20  # header token bytes; 20 digits declare over 10**19 pixels
 
@@ -73,8 +74,8 @@ def decode_image(path: str) -> np.ndarray:
         width = _header_int(f, "width")
         height = _header_int(f, "height")
         maxval = _header_int(f, "maxval")
-        if maxval != 255:
-            raise FormatError(f"maxval {maxval} unsupported, only 255")
+        if maxval != LUMA.raw_max:
+            raise FormatError(f"maxval {maxval} unsupported, only {LUMA.raw_max}")
         # _read_token consumed exactly one whitespace byte after maxval
         data = f.read()
     shape = (height, width) if magic == b"P5" else (height, width, 3)
@@ -158,5 +159,5 @@ def write_pgm(path: str, luma: np.ndarray) -> None:
     a = np.ascontiguousarray(luma, dtype=np.uint8)
     h, w = a.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
+        f.write(f"P5\n{w} {h}\n{LUMA.raw_max}\n".encode())
         f.write(a.tobytes())

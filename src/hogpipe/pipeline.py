@@ -33,18 +33,13 @@ from typing import ClassVar
 import numpy as np
 
 from .blocks import (
-    BLOCK_EPSILON,
-    BLOCK_VALUES,
-    BlockAssembler,
-    HogFrame,
-    block_count,
-    normalize_grid,
+    BLOCK_EPSILON, BLOCK_VALUES, BlockAssembler, HogFrame, block_grid, normalize_grid
 )
 from .cells import CellAccumulator, add_votes, cells_per_frame, frame_votes
 from .cordic import CordicConfig, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
 from .gradient import GradientStage, luma8, warmup_steps
-from .voting import BIN_COUNT, split_packed, vote_table
+from .voting import BIN_COUNT, hi_bin, split_packed, vote_table
 
 
 class Tap(Enum):
@@ -146,7 +141,7 @@ class StreamingPipeline:
         self._cells = CellAccumulator(cfg.width, cfg.height)
         self._blocks = BlockAssembler(cc)
         self._cell_grid = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
-        self._block_grid = np.zeros((cr - 1, cc - 1, BLOCK_VALUES))
+        self._block_grid = np.zeros((*block_grid(cr, cc), BLOCK_VALUES))
         self._captures = {t: [] for t in cfg.taps}
         self.pixels_in = 0
         self.steps = 0
@@ -200,8 +195,7 @@ class StreamingPipeline:
                 cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
             if Tap.VOTES in cap:
                 lo_w, hi_w = split_packed(packed)
-                hi = (lo + 1) % BIN_COUNT
-                cap[Tap.VOTES].append(BinVote(lo, hi, int(lo_w), int(hi_w), r, c))
+                cap[Tap.VOTES].append(BinVote(lo, hi_bin(lo), int(lo_w), int(hi_w), r, c))
         bins = self._cells.accumulate(lo, packed)
         if bins is None:
             return
@@ -212,7 +206,7 @@ class StreamingPipeline:
             cap[Tap.CELLS].append(CellHistogram(tuple(bins), r, c))
         values = self._blocks.add(bins)
         if values is not None:
-            r, c = divmod(self.blocks_out, self._blocks.cells_cols - 1)
+            r, c = divmod(self.blocks_out, self._block_grid.shape[1])
             self.blocks_out += 1
             self._block_grid[r, c] = values
             if Tap.BLOCKS in cap:
@@ -269,7 +263,7 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
         pixels_in=h * w,
         steps=h * w + warmup_steps(w),
         warmup_steps=warmup_steps(w),
-        cells_out=cr * cc,
-        blocks_out=block_count(cc, cr),
+        cells_out=cells.size // BIN_COUNT,
+        blocks_out=blocks.size // BLOCK_VALUES,
     )
     return HogFrame(cells=cells, blocks=blocks), stats

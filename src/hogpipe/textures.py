@@ -10,11 +10,13 @@ band-limited noise, and full-bandwidth noise.
 
 import numpy as np
 
+from .fixq import LUMA
+
 
 def ramp(width: int, height: int, horizontal: bool = True, slope: int = 1) -> np.ndarray:
-    """Linear wedge wrapping mod 256; interior gradient is 2*slope."""
+    """Linear wedge wrapping past the 8-bit LUMA; interior gradient is 2*slope."""
     n = width if horizontal else height
-    line = (np.arange(n, dtype=np.int64) * slope) % 256
+    line = (np.arange(n, dtype=np.int64) * slope) % (LUMA.raw_max + 1)
     frame = np.tile(line, (height, 1)) if horizontal else np.tile(line[:, None], (1, width))
     return frame.astype(np.uint8)
 
@@ -24,7 +26,7 @@ def grating(width: int, height: int, period: float, angle_deg: float = 0.0) -> n
     yy, xx = np.mgrid[0:height, 0:width]
     th = np.deg2rad(angle_deg)
     phase = (xx * np.cos(th) + yy * np.sin(th)) * (2.0 * np.pi / period)
-    return np.clip(127.5 + 120.0 * np.sin(phase), 0, 255).astype(np.uint8)
+    return np.clip(127.5 + 120.0 * np.sin(phase), 0, LUMA.raw_max).astype(np.uint8)
 
 
 def checkerboard(width: int, height: int, square: int = 16) -> np.ndarray:
@@ -44,21 +46,21 @@ def blobs(width: int, height: int, count: int = 12, seed: int = 0) -> np.ndarray
         sigma = rng.uniform(min(width, height) / 40, min(width, height) / 8)
         amp = rng.uniform(60, 220)
         acc += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma * sigma))
-    return np.clip(acc, 0, 255).astype(np.uint8)
+    return np.clip(acc, 0, LUMA.raw_max).astype(np.uint8)
 
 
 def smooth_noise(width: int, height: int, seed: int = 0, scale: int = 16) -> np.ndarray:
     """Band-limited noise: coarse random grid blown up with box smoothing."""
     rng = np.random.default_rng(seed)
-    coarse = rng.integers(0, 256, size=(height // scale + 2, width // scale + 2))
+    coarse = rng.integers(0, LUMA.raw_max + 1, size=(height // scale + 2, width // scale + 2))
     big = np.repeat(np.repeat(coarse, scale, axis=0), scale, axis=1)
     sm = _box_blur(_box_blur(big.astype(np.float64), scale), scale)
-    return np.clip(sm[:height, :width], 0, 255).astype(np.uint8)
+    return np.clip(sm[:height, :width], 0, LUMA.raw_max).astype(np.uint8)
 
 
 def uniform_noise(width: int, height: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+    return rng.integers(0, LUMA.raw_max + 1, size=(height, width), dtype=np.uint8)
 
 
 def _box_blur(a: np.ndarray, k: int) -> np.ndarray:

@@ -13,17 +13,17 @@ Twenty-four fractional bits keep the worst-case weight error under one
 MAG ulp against a real-valued voter even at the maximum magnitude; the
 narrower 16-bit reciprocal provably cannot. The high weight is rounded
 to nearest even from the raw product by fixq.rne_shift. vote_raw is the
-one fixed-point voter. Its one caller, vote_table, runs it once over the
-polar table; the streaming (per pixel) and vectorized (per frame) paths
-both read that vote table. VoteTable is the one table type over the
-gradient grid; the golden model fills it too.
+one fixed-point voter, with golden_votes' output (lo_bin, lo_weight,
+hi_weight). Its one caller, vote_table, runs it once over the polar table;
+the streaming and vectorized paths both read that table. VoteTable is the
+one table type over the gradient grid; the golden model fills it too.
 
-The high bin is always the low bin's successor, so every path keys a
-pixel's vote by its low bin alone and adds the high side's totals one bin
-up (8 wraps to 0); fold_sides is that one fold. VoteTable stores that one
-format: the low bins and the weights keyed by them. vote_table packs a
-pair's two MAG raw weights into one float64, lo_weight + hi_weight *
-2**PACK_BITS, so one read or gather and one add sum both sides;
+The high bin is always hi_bin(low bin), the next one (8 wraps to 0), so
+every path keys a pixel's vote by its low bin alone and adds the high
+side's totals one bin up; fold_sides is that one fold. VoteTable stores
+that one format: the low bins and the weights keyed by them. vote_table
+packs a pair's two MAG raw weights into one float64, lo_weight + hi_weight
+* 2**PACK_BITS, so one read or gather and one add sum both sides;
 split_packed takes a packed weight or total apart again, exactly.
 """
 
@@ -50,13 +50,18 @@ _FRAC_MASK = (1 << _FRAC_BITS) - 1
 
 
 def vote_raw(mag, ang):
-    """Split MAG raw magnitudes at ANG raw angles between the two nearest
-    bins; Python ints or integer arrays in (ang int64), (lo_bin, hi_bin,
+    """Split MAG raw magnitudes at ANG raw angles between the low bin and
+    its hi_bin; Python ints or integer arrays in (ang int64), (lo_bin,
     lo_weight, hi_weight) of the same kind out."""
     t = ((ang - _RAW_CENTER0) % RAW_180) * _RECIP_WIDTH
     lo = t >> _FRAC_BITS
     hi_w = rne_shift(mag * (t & _FRAC_MASK), _FRAC_BITS)
-    return lo, (lo + 1) % BIN_COUNT, mag - hi_w, hi_w
+    return lo, mag - hi_w, hi_w
+
+
+def hi_bin(lo_bin):
+    """The high bin of a vote with this low bin: the next center, 8 wrapping to 0."""
+    return (lo_bin + 1) % BIN_COUNT
 
 
 class VoteTable:
@@ -79,8 +84,7 @@ def split_packed(t):
     return t - hi * 2.0**PACK_BITS, hi
 
 
-# each bin's predecessor; index -1 is bin 8, whose high side wraps to bin 0
-_PREV = np.arange(-1, BIN_COUNT - 1)
+_PREV = np.argsort(hi_bin(np.arange(BIN_COUNT)))  # bin _PREV[k]'s high side is bin k
 
 
 def fold_sides(lo, hi):
@@ -99,7 +103,7 @@ def vote_table(cfg: CordicConfig) -> VoteTable:
     weights = np.empty((1, polar.mag_raw.size))
     # int64 inside the build only: ang * _RECIP_WIDTH overflows int32, and
     # the int32 magnitudes widen with it
-    lo, _, lo_w, hi_w = vote_raw(polar.mag_raw, polar.ang_raw.astype(np.int64))
+    lo, lo_w, hi_w = vote_raw(polar.mag_raw, polar.ang_raw.astype(np.int64))
     np.multiply(hi_w, 2.0**PACK_BITS, out=weights[0])
     weights[0] += lo_w
     return VoteTable(lo, weights)

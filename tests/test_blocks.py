@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hogpipe.blocks import (
     BLOCK_VALUES,
     BlockAssembler,
-    block_count,
+    block_grid,
     normalize_grid,
 )
 from hogpipe.fixq import CELL_ACC, MAG
@@ -115,7 +117,8 @@ def test_block_count_for_full_frame_grid():
     rng = np.random.default_rng(3)
     grid = rng.integers(0, 1 << 16, size=(60, 80, 9))
     blocks = stream_blocks(grid)
-    assert len(blocks) == block_count(80, 60) == 79 * 59 == 4661
+    assert block_grid(60, 80) == (59, 79)
+    assert len(blocks) == math.prod(block_grid(60, 80)) == 79 * 59 == 4661
     assert sum(b.size for b in blocks) == 4661 * 36 == 167796
     assert np.array_equal(np.reshape(blocks, (59, 79, 36)), normalize_grid(grid))
 

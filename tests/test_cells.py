@@ -86,7 +86,7 @@ def test_16x16_matches_nested_loop_bucketing():
         if g is None:
             return
         i = grid_index(*g)
-        lo, _, lo_w, hi_w = vote_raw(int(table.mag_raw[i]), int(table.ang_raw[i]))
+        lo, lo_w, hi_w = vote_raw(int(table.mag_raw[i]), int(table.ang_raw[i]))
         h = acc.accumulate(*synth_vote(lo, lo_w, hi_w))
         if h is not None:
             streamed.append(h)

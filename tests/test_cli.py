@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hogpipe import cli
+from hogpipe.blocks import dequantize
 from hogpipe.detector import SvmModel, save_model
 from hogpipe.errors import FormatError
 from hogpipe.golden import golden_hog
@@ -40,7 +41,7 @@ def test_extract_cell_view(tmp_path, capsys):
     ff = cli.read_features(dst)
     assert (ff.view, ff.width_cells, ff.height_cells, ff.bins) == (0, 3, 2, 9)
     hog, _ = run_frame_fast(luma, PipelineConfig(width=24, height=16))
-    assert np.array_equal(ff.values, hog.cell_values().astype(np.float32).ravel())
+    assert np.array_equal(ff.values, dequantize(hog.cells).astype(np.float32).ravel())
 
 
 def test_extract_block_view(tmp_path, capsys):
@@ -111,7 +112,7 @@ def test_extract_p6_runs_on_bt601_luma(tmp_path, capsys):
     r, g, b = rgb.astype(np.int64).transpose(2, 0, 1)
     luma = ((77 * r + 150 * g + 29 * b) >> 8).astype(np.uint8)
     hog, _ = run_frame_fast(luma, PipelineConfig(width=24, height=16))
-    assert np.array_equal(values, hog.cell_values().astype(np.float32).ravel())
+    assert np.array_equal(values, dequantize(hog.cells).astype(np.float32).ravel())
 
 
 def test_extract_bayer_p5_runs_on_demosaiced_luma(tmp_path, capsys):
@@ -120,7 +121,7 @@ def test_extract_bayer_p5_runs_on_demosaiced_luma(tmp_path, capsys):
     assert rc == 0
     luma = to_grayscale(demosaic_bilinear(mosaic))
     hog, _ = run_frame_fast(luma, PipelineConfig(width=24, height=16))
-    assert np.array_equal(values, hog.cell_values().astype(np.float32).ravel())
+    assert np.array_equal(values, dequantize(hog.cells).astype(np.float32).ravel())
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.blocks import BLOCK_EPSILON, HogFrame, block_corners
+from hogpipe.blocks import BLOCK_EPSILON, HogFrame, block_corners, dequantize
 from hogpipe.errors import DimensionError
 from hogpipe.golden import (
     DiffReport,
@@ -87,7 +87,7 @@ def test_golden_hog_rejects_any_epsilon_but_the_block_one(epsilon):
 def fixed_and_golden(luma):
     """A fixed frame of luma and a GoldenHog holding the same values."""
     hog, _ = run_frame_fast(luma, PipelineConfig(luma.shape[1], luma.shape[0]))
-    return hog, GoldenHog(hog.cell_values(), hog.blocks)
+    return hog, GoldenHog(dequantize(hog.cells), hog.blocks)
 
 
 def test_compare_of_identical_frames_is_zero():

@@ -41,3 +41,21 @@ def test_no_module_imports_inside_a_function():
                 }
     assert functions > 50  # the walk sees the package's functions
     assert sorted(deferred) == []
+
+
+def test_only_fixq_spells_the_pixel_range():
+    # the 8-bit luma is fixq.LUMA: every other module derives 0..255, +-255,
+    # the 256 levels and the 511-wide gradient grid from it
+    paths = sorted((SRC / "hogpipe").glob("*.py"))
+    assert len(paths) > 10 and SRC / "hogpipe" / "fixq.py" in paths
+    ints, spelled = 0, []
+    for path in paths:
+        if path.name == "fixq.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                ints += 1
+                if node.value in (255, 256, 511):
+                    spelled.append(f"{path.name}:{node.lineno}")
+    assert ints > 100  # the walk sees the package's int constants
+    assert spelled == []

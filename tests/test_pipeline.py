@@ -76,8 +76,11 @@ def test_luma_outside_8_bits_is_rejected(entry, bad):
 
 @pytest.mark.parametrize(
     "pos, bad",
-    [(255, -300), (0, 256), (100, 256), (100, 7.5), (100, np.float64(7.0))],
-    ids=["-300-last", "256-first", "256-mid", "float-mid", "np-float-mid"],
+    [
+        (255, -300), (0, 256), (100, 256), (100, 7.5), (100, np.float64(7.0)),
+        (100, True), (0, False),
+    ],
+    ids=["-300-last", "256-first", "256-mid", "float-mid", "np-float-mid", "true-mid", "false-first"],
 )
 def test_streaming_port_rejects_pixels_outside_8_bits(pos, bad):
     pixels = rand_frame((16, 16), 13).ravel().tolist()

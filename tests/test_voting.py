@@ -22,6 +22,7 @@ from hogpipe.voting import (
     BIN_COUNT,
     PACK_BITS,
     VoteTable,
+    hi_bin,
     split_packed,
     vote_raw,
     vote_table,
@@ -31,7 +32,8 @@ from oracles import ref_polar_raw, ref_vote, ref_vote_raw
 
 def vote(p: PolarGradient) -> BinVote:
     """The voter on one polar record, as the pipeline's vote tap records it."""
-    return BinVote(*vote_raw(p.magnitude, p.orientation), p.row, p.col)
+    lo, lo_w, hi_w = vote_raw(p.magnitude, p.orientation)
+    return BinVote(lo, hi_bin(lo), lo_w, hi_w, p.row, p.col)
 
 
 def pg(angle_deg: float, mag: float) -> PolarGradient:
@@ -118,7 +120,7 @@ def test_exhaustive_grid_agrees_with_real_voter_within_one_ulp():
     table = vote_table(CordicConfig())
     lo, (packed,) = table.lo_bin, table.weights
     # the table's one float64 weight carries both sides of vote_raw's vote
-    want_lo, _, want_lo_w, want_hi_w = vote_raw(mag, ang.astype(np.int64))
+    want_lo, want_lo_w, want_hi_w = vote_raw(mag, ang.astype(np.int64))
     assert np.array_equal(lo, want_lo)
     assert np.array_equal(packed, want_lo_w + want_hi_w * 2.0**PACK_BITS)
     lo_w, hi_w = split_packed(packed)
@@ -236,6 +238,6 @@ def test_streaming_vote_read_equals_the_scalar_voter(iterations, gx, gy):
     g = pipe.captures(Tap.GRADIENTS)[i]
     assert (g.gx, g.gy, g.row, g.col) == (gx, gy, 8, 8)
     v = pipe.captures(Tap.VOTES)[i]
-    want = vote_raw(*ref_polar_raw(gx, gy, iterations)[:2])
-    assert (v.lo_bin, v.hi_bin, v.lo_weight, v.hi_weight) == want
+    lo, lo_w, hi_w = vote_raw(*ref_polar_raw(gx, gy, iterations)[:2])
+    assert (v.lo_bin, v.hi_bin, v.lo_weight, v.hi_weight) == (lo, hi_bin(lo), lo_w, hi_w)
     assert all(type(x) is int for x in (v.lo_bin, v.hi_bin, v.lo_weight, v.hi_weight))
