@@ -59,9 +59,10 @@ def feature_count(view: int, width_cells: int, height_cells: int) -> int:
             raise FormatError(f"cell view needs at least one cell, got {grid}")
         return width_cells * height_cells * BIN_COUNT
     if view == VIEW_BLOCK_NORM:
-        if width_cells < 2 or height_cells < 2:
+        blocks = block_grid(height_cells, width_cells)
+        if min(blocks) < 1:
             raise FormatError(f"block view needs at least 2x2 cells, got {grid}")
-        return math.prod(block_grid(height_cells, width_cells)) * BLOCK_VALUES
+        return math.prod(blocks) * BLOCK_VALUES
     raise FormatError(f"unknown view {view}")
 
 

@@ -53,7 +53,9 @@ def rne_shift(x, s):
     integer array; s is a positive int or an array of positive per-element
     shifts (the datapath's are 23 and up). The remainder is taken
     non-negative (two's complement), so rounding is around floor in all
-    cases.
+    cases. At the default CordicConfig no polar or vote table entry is a
+    tie, so round-half-up builds the same tables: only tests/test_fixq.py's
+    direct cases pin the tie rule.
     """
     q = x >> s
     r = x & ((1 << s) - 1)

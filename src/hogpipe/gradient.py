@@ -15,7 +15,8 @@ with coordinates clamped to the frame (replicate-edge border policy). After
 the last pixel of a frame, drain() runs the remaining warm-up's worth of
 steps to flush the tail; a W x H frame yields exactly W*H pairs over
 W*H + latency steps. A bool, or a pixel that is not an integer in LUMA's
-0..255, is refused with LayoutError, as luma8 refuses a whole frame.
+0..255, is refused with LayoutError, as luma8 refuses a whole frame, and
+one past the frame's W*H with DimensionError, as drain refuses a short one.
 
 warmup_steps is the one latency formula and frame_gradients the one array
 difference (on pad_frame's output); the vectorized and golden paths use them.
@@ -71,13 +72,14 @@ class GradientStage:
         self._cap = 2 * width + 3
         self._ring = [0] * self._cap
         self._latency = warmup_steps(width)
-        self._pushed = 0
+        self._total = width * height
+        self.pushed = 0  # pixels in so far, one step each
         self.emitted = 0  # pairs out so far; the next pair's row-major position
 
     @property
     def buffered_pixels(self) -> int:
         """Live pixels held: at most two rows plus the window constant."""
-        return min(self._pushed, self._cap)
+        return min(self.pushed, self._cap)
 
     def _emit(self) -> tuple[int, int]:
         w, cap, ring = self.width, self._cap, self._ring
@@ -99,18 +101,18 @@ class GradientStage:
             px = -1  # not an integer
         if not 0 <= px <= _LUMA_MAX or luma is True or luma is False:
             raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}")
-        self._ring[self._pushed % self._cap] = px
-        self._pushed += 1
-        if self._pushed > self._latency:
+        n = self.pushed
+        if n == self._total:
+            raise DimensionError(f"pixel {n + 1} is past the end of a {n}-pixel frame")
+        self._ring[n % self._cap] = px
+        self.pushed = n = n + 1
+        if n > self._latency:
             return self._emit()
         return None
 
     def drain(self) -> Iterator[tuple[int, int]]:
         """Flush steps after the frame's last pixel; one emission per step."""
-        total = self.width * self.height
-        if self._pushed != total:
-            raise DimensionError(
-                f"drain after {self._pushed} pixels, frame has {total}"
-            )
-        while self.emitted < total:
+        if self.pushed != self._total:
+            raise DimensionError(f"drain after {self.pushed} pixels, frame has {self._total}")
+        while self.emitted < self._total:
             yield self._emit()

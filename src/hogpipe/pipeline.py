@@ -5,8 +5,9 @@ accumulation and block assembly into a single streaming extractor. One
 step ingests one pixel; all stages advance synchronously on it, so the
 step ledger mirrors a single-clock-domain datapath. After the last pixel
 the gradient stage drains its latency tail, each flushed pixel costing
-one further step. pixels_per_step therefore lands just under 1.0: the
-frame's pixel count divided by pixel count plus warm-up.
+one further step; the ledger is the gradient stage's pixels and drained
+steps. pixels_per_step is then just under 1.0: the frame's pixel count
+divided by pixel count plus warm-up.
 
 Stages hand each other plain values, as hardware stages hand on
 registers (ints per pixel, nine bins per cell, 36 floats per block), and
@@ -14,16 +15,17 @@ each item's position is its count in stream order. The tap records
 (GradientPair, PolarGradient, BinVote, CellHistogram, BlockDescriptor)
 are defined here and built, with that position, only when a Tap asks.
 
-run_frame is the instrumented streaming path; it reads each pixel's low
-bin and packed weight from the memoized vote table (the polar table only
-for the polar tap), splits each finished cell's totals and squares each
-cell once in the block ring. run_frame_fast computes the identical HogFrame
-with arrays (not thread-safe): cells.frame_votes gathers each strip's keys
-and packed weights from the same table, cells.add_votes bincounts them and
-adds each high side one bin up, and blocks.normalize_grid squares each cell
-once. Its cells are integer-identical to the scalar datapath's and its
-block square sums exact; both paths divide in blocks.normalize_blocks, so
-the outputs match element-exactly. It owns no datapath decision.
+run_frame is the instrumented streaming path: it feeds the frame's pixels
+to one pair loop, which reads each pair's low bin and packed weight from
+the memoized vote table (the polar table only for the polar tap) and
+places each finished cell and its block; the block ring squares each cell
+once. run_frame_fast computes the identical HogFrame with arrays (not
+thread-safe): cells.frame_votes gathers each strip's keys and packed
+weights from the same table, cells.add_votes bincounts them and adds each
+high side one bin up, and blocks.normalize_grid squares each cell once.
+Its cells are integer-identical to the scalar datapath's and its block
+square sums exact; both paths divide in blocks.normalize_blocks, so the
+outputs match element-exactly. It owns no datapath decision.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +105,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         cols, rows = cells_per_frame(self.width, self.height)
-        if cols < 2 or rows < 2:
+        if min(block_grid(rows, cols)) < 1:
             raise DimensionError(f"need at least a 2x2 cell grid, got {cols}x{rows}")
         object.__setattr__(self, "taps", frozenset(self.taps))
 
@@ -124,12 +126,14 @@ class RunStats:
 class StreamingPipeline:
     """Single-frame pipeline instance with step and buffer accounting.
 
-    Call step() once per pixel (an int in 0..255, else LayoutError) in
-    row-major order, then finish(). The polar and voting stages are one
-    read of the memoized vote table: a low bin and a packed weight. A
-    ring's fill never drops within a frame, so the peak buffer occupancy
-    of the memory-bound check is the rings' current fill; the tables are
-    constant data and deliberately not counted.
+    Call step() once per pixel (an int in 0..255, else LayoutError; past
+    the frame's last, DimensionError), or feed() them, in row-major order,
+    then finish(); either way each gradient pair goes through _take, the
+    one per-pair loop. The polar and voting stages are one read of the
+    memoized vote table: a low bin and a packed weight. A ring's fill
+    never drops within a frame, so the peak buffer occupancy of the
+    memory-bound check is the rings' current fill; the tables are constant
+    data and deliberately not counted.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -143,8 +147,7 @@ class StreamingPipeline:
         self._cell_grid = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
         self._block_grid = np.zeros((*block_grid(cr, cc), BLOCK_VALUES))
         self._captures = {t: [] for t in cfg.taps}
-        self.pixels_in = 0
-        self.steps = 0
+        self._drained = 0  # steps after the last pixel, counted by finish()
         self.cells_out = 0
         self.blocks_out = 0
 
@@ -161,66 +164,69 @@ class StreamingPipeline:
         # fixed-size ring, one partial histogram per cell column
         return self._cells.partial_count
 
+    @property
+    def pixels_in(self) -> int:
+        return self._grad.pushed
+
+    @property
+    def steps(self) -> int:
+        return self._grad.pushed + self._drained
+
     def captures(self, tap: Tap) -> list:
         if tap not in self._captures:
             raise TapNotEnabled(f"tap {tap.value} was not requested in the config")
         return self._captures[tap]
 
     def step(self, luma: int) -> None:
-        g = self._grad.push_pixel(luma)
-        self.pixels_in += 1
-        self.steps += 1
-        if g is not None:
-            self._advance(g)
+        self.feed((luma,))
+
+    def feed(self, pixels) -> None:
+        # map and filter iterate in C; a pair is truthy, a warm-up None is not
+        self._take(filter(None, map(self._grad.push_pixel, pixels)))
 
     def finish(self) -> tuple[HogFrame, RunStats]:
         # a drained stage yields nothing more, so a second finish() is a no-op
-        for g in self._grad.drain():
-            self.steps += 1
-            self._advance(g)
-        return self._result()
-
-    def _advance(self, g: tuple[int, int]) -> None:
-        gx, gy = g
-        i = grid_index(gx, gy)
-        lo, packed = self._lo_bins[i], self._weights[i]
-        cap = self._captures
-        if cap:
-            r, c = divmod(self._grad.emitted - 1, self.cfg.width)
-            if Tap.GRADIENTS in cap:
-                cap[Tap.GRADIENTS].append(GradientPair(gx, gy, r, c))
-            if Tap.POLAR in cap:
-                polar = polar_table(self.cfg.cordic)
-                mag, ang = int(polar.mag_raw[i]), int(polar.ang_raw[i])
-                cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
-            if Tap.VOTES in cap:
-                lo_w, hi_w = split_packed(packed)
-                cap[Tap.VOTES].append(BinVote(lo, hi_bin(lo), int(lo_w), int(hi_w), r, c))
-        bins = self._cells.accumulate(lo, packed)
-        if bins is None:
-            return
-        r, c = divmod(self.cells_out, self._blocks.cells_cols)
-        self.cells_out += 1
-        self._cell_grid[r, c] = bins
-        if Tap.CELLS in cap:
-            cap[Tap.CELLS].append(CellHistogram(tuple(bins), r, c))
-        values = self._blocks.add(bins)
-        if values is not None:
-            r, c = divmod(self.blocks_out, self._block_grid.shape[1])
-            self.blocks_out += 1
-            self._block_grid[r, c] = values
-            if Tap.BLOCKS in cap:
-                cap[Tap.BLOCKS].append(BlockDescriptor(values, r, c))
-
-    def _result(self) -> tuple[HogFrame, RunStats]:
-        stats = RunStats(
-            pixels_in=self.pixels_in,
-            steps=self.steps,
-            warmup_steps=self.steps - self.pixels_in,
-            cells_out=self.cells_out,
-            blocks_out=self.blocks_out,
-        )
+        emitted = self._grad.emitted
+        self._take(self._grad.drain())
+        self._drained += self._grad.emitted - emitted
+        stats = RunStats(self.pixels_in, self.steps, self._drained, self.cells_out, self.blocks_out)
         return HogFrame(cells=self._cell_grid, blocks=self._block_grid), stats
+
+    def _take(self, pairs) -> None:
+        accumulate, lo_bins, weights = self._cells.accumulate, self._lo_bins, self._weights
+        cap = self._captures
+        for gx, gy in pairs:
+            i = grid_index(gx, gy)
+            lo, packed = lo_bins[i], weights[i]
+            if cap:
+                self._tap_pair(gx, gy, i, lo, packed)
+            bins = accumulate(lo, packed)
+            if bins is not None:  # the vote closed a cell
+                r, c = divmod(self.cells_out, self._blocks.cells_cols)
+                self.cells_out += 1
+                self._cell_grid[r, c] = bins
+                if Tap.CELLS in cap:
+                    cap[Tap.CELLS].append(CellHistogram(tuple(bins), r, c))
+                values = self._blocks.add(bins)
+                if values is not None:
+                    r, c = divmod(self.blocks_out, self._block_grid.shape[1])
+                    self.blocks_out += 1
+                    self._block_grid[r, c] = values
+                    if Tap.BLOCKS in cap:
+                        cap[Tap.BLOCKS].append(BlockDescriptor(values, r, c))
+
+    def _tap_pair(self, gx: int, gy: int, i: int, lo: int, packed: float) -> None:
+        cap = self._captures
+        r, c = divmod(self._grad.emitted - 1, self.cfg.width)
+        if Tap.GRADIENTS in cap:
+            cap[Tap.GRADIENTS].append(GradientPair(gx, gy, r, c))
+        if Tap.POLAR in cap:
+            polar = polar_table(self.cfg.cordic)
+            mag, ang = int(polar.mag_raw[i]), int(polar.ang_raw[i])
+            cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
+        if Tap.VOTES in cap:
+            lo_w, hi_w = split_packed(packed)
+            cap[Tap.VOTES].append(BinVote(lo, hi_bin(lo), int(lo_w), int(hi_w), r, c))
 
 
 def _as_luma(frame, cfg: PipelineConfig) -> np.ndarray:
@@ -236,8 +242,7 @@ def run_frame(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
     """Stream a whole frame through a fresh pipeline instance."""
     luma = _as_luma(frame, cfg)
     pipe = StreamingPipeline(cfg)
-    for px in luma.ravel().tolist():
-        pipe.step(px)
+    pipe.feed(luma.ravel().tolist())
     return pipe.finish()
 
 

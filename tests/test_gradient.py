@@ -104,6 +104,17 @@ def test_drain_before_full_frame_rejected():
         list(stage.drain())
 
 
+def test_pixel_past_the_frame_is_refused_before_the_ring():
+    luma = np.random.default_rng(3).integers(0, 256, size=(4, 5), dtype=np.uint8)
+    stage = GradientStage(5, 4)
+    pairs = [g for v in luma.ravel().tolist() if (g := stage.push_pixel(v)) is not None]
+    with pytest.raises(DimensionError):
+        stage.push_pixel(7)
+    assert stage.pushed == 20
+    pairs += stage.drain()
+    assert np.array_equal(to_array(pairs, (4, 5)), ref_gradients(luma))
+
+
 def test_too_small_frame_rejected():
     with pytest.raises(DimensionError):
         GradientStage(2, 8)

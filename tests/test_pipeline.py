@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hogpipe.blocks import BLOCK_EPSILON
+from hogpipe.blocks import BLOCK_EPSILON, BlockAssembler
+from hogpipe.cells import CellAccumulator
 from hogpipe.cordic import CordicConfig
 from hogpipe.errors import DimensionError, LayoutError, TapNotEnabled
 from hogpipe.golden import golden_hog
+from hogpipe.gradient import GradientStage
 from hogpipe.pipeline import (
     PipelineConfig,
     RunStats,
@@ -90,6 +93,89 @@ def test_streaming_port_rejects_pixels_outside_8_bits(pos, bad):
         for px in pixels:
             pipe.step(px)
     assert pipe.pixels_in == pos
+
+
+def test_layout_error_mid_feed_leaves_the_ledger_at_the_accepted_pixels():
+    pixels = rand_frame((16, 16), 13).ravel().tolist()
+    pixels[100] = 256
+    pipe = StreamingPipeline(PipelineConfig(width=16, height=16))
+    with pytest.raises(LayoutError):
+        pipe.feed(pixels)
+    assert pipe.pixels_in == 100
+    assert pipe.steps == pipe.pixels_in
+
+
+@pytest.mark.parametrize("port", ["step", "feed"])
+def test_streaming_port_refuses_pixels_past_the_frame(port):
+    luma = rand_frame((16, 16), 13)
+    pixels = luma.ravel().tolist()
+    pipe = StreamingPipeline(cfg_for(luma))
+    with pytest.raises(DimensionError):
+        if port == "feed":
+            pipe.feed(pixels + [0])
+        else:
+            for px in pixels + [0]:
+                pipe.step(px)
+    assert pipe.pixels_in == pipe.steps == 256
+    hog, stats = pipe.finish()
+    ref, ref_stats = run_frame(luma, cfg_for(luma))
+    assert np.array_equal(hog.cells, ref.cells)
+    assert np.array_equal(hog.blocks, ref.blocks)
+    assert stats == ref_stats
+
+
+def record_values(record):
+    """A tap record's field values, an array field as its bytes."""
+    return [
+        v.tobytes() if isinstance(v, np.ndarray) else v
+        for v in (getattr(record, f.name) for f in dataclasses.fields(record))
+    ]
+
+
+@pytest.mark.parametrize("bounds", [(0, None), (0, 1, 57, 300, None)], ids=["whole", "chunked"])
+@pytest.mark.parametrize("taps", [frozenset(), frozenset(Tap)], ids=["no-taps", "all-taps"])
+def test_feed_equals_a_step_loop(taps, bounds):
+    luma = rand_frame((24, 32), 15)
+    cfg = cfg_for(luma, taps=taps)
+    pixels = luma.ravel().tolist()
+    fed, stepped = StreamingPipeline(cfg), StreamingPipeline(cfg)
+    for lo, hi in zip(bounds, bounds[1:]):
+        fed.feed(pixels[lo:hi])
+    for px in pixels:
+        stepped.step(px)
+    (hog, stats), (ref, ref_stats) = fed.finish(), stepped.finish()
+    assert hog.cells.tobytes() == ref.cells.tobytes()
+    assert hog.blocks.tobytes() == ref.blocks.tobytes()
+    assert stats == ref_stats
+    for tap in taps:
+        got, want = fed.captures(tap), stepped.captures(tap)
+        assert [type(r) for r in got] == [type(r) for r in want]
+        assert [record_values(r) for r in got] == [record_values(r) for r in want]
+
+
+def test_run_frame_calls_each_traced_stage_method_once_per_item(monkeypatch):
+    # the stage methods a per-layer profiler wraps on the class, as perfbench's
+    # tracer does; a path that bypasses one would zero its row
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for cls, name in [
+        (GradientStage, "push_pixel"), (CellAccumulator, "accumulate"), (BlockAssembler, "add")
+    ]:
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    luma = rand_frame((24, 32), 16)
+    hog, stats = run_frame(luma, cfg_for(luma))
+    assert calls == {"push_pixel": 24 * 32, "accumulate": 24 * 32, "add": 3 * 4}
+    assert stats.cells_out == 3 * 4
+    monkeypatch.undo()
+    ref, _ = run_frame(luma, cfg_for(luma))
+    assert np.array_equal(hog.cells, ref.cells)
+    assert np.array_equal(hog.blocks, ref.blocks)
 
 
 def test_streaming_port_takes_numpy_integers_as_ints():
