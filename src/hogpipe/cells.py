@@ -1,21 +1,24 @@
 """Streaming 8x8 cell histogram accumulation.
 
-Votes arrive in pixel row-major order as a bare low bin and packed
-weight (voting.vote_table); a vote's pixel position is its sequence
-number, which the accumulator counts. One partial histogram per cell
-column is enough state for the whole frame: a cell's 64 pixels span
-eight consecutive row segments, so only the cells of the current
-cell-row are ever partially filled. When the vote for a cell's last
-pixel (local position (7, 7)) arrives, the finished cell's nine totals
-are split into their low and high sides, each high side added one bin
-up, and the nine bins handed on as a plain list of ints; a fresh partial
-takes the cell's place for the cell below. Cells come out in row-major
-order, so a cell's position is its emission count.
+Votes arrive in pixel row-major order, each a (low bin, packed weight)
+pair read from voting.vote_table; a vote's pixel position is its
+sequence number. One partial histogram per cell column is enough state
+for the whole frame: a cell's 64 pixels span eight consecutive row
+segments, so only the cells of the current cell-row are ever partially
+filled. The vote for a cell's last pixel (local (7, 7)) closes it: its
+nine totals are split into their low and high sides, each high side
+added one bin up, and the nine bins handed on as a plain list of ints;
+a fresh partial takes the cell's place for the cell below. Cells come
+out in row-major order, so a cell's position is its emission count.
+
+CellAccumulator is a generator coroutine whose loops are the scan's
+counters; accumulate is its gradient.Port, the coroutine's send on a
+stage and a plain (stage, vote) callable on the class.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow. CELL_SIZE comes from
-fixq, next to the CELL_ACC headroom it sizes. frame_votes is the
-one array vote gather, for the vectorized and golden paths; as line buffers
+fixq, next to the CELL_ACC headroom it sizes. frame_votes is the one
+array vote gather, for the vectorized and golden paths; as line buffers
 do, it works in strips of cell rows, in one workspace per frame shape.
 It keys each pixel's vote by its low bin, as the table does: add_votes
 bincounts a strip's packed fixed weights once, splits the totals into
@@ -30,7 +33,7 @@ import numpy as np
 from .cordic import GRID_SIDE, grid_index
 from .errors import DimensionError
 from .fixq import CELL_SIZE
-from .gradient import frame_gradients, pad_frame
+from .gradient import Port, frame_gradients, pad_frame
 from .voting import BIN_COUNT, VoteTable, fold_sides, split_packed
 
 STRIP_CELL_ROWS = 8  # cell rows per frame_votes strip: 64 pixel rows
@@ -104,27 +107,27 @@ def add_votes(cells: np.ndarray, rows: slice, keys: np.ndarray, packed: np.ndarr
 class CellAccumulator:
     """One cell-row ring of partial histograms (width/8 entries)."""
 
+    accumulate = Port()  # a (lo_bin, packed) vote in; a closed cell's bins out, else None
+
     def __init__(self, width: int, height: int):
         cols, _ = cells_per_frame(width, height)
-        self.width = width
-        # one list of partial bin sums per cell column
-        self._partials = [[0] * BIN_COUNT for _ in range(cols)]
-        self._next = 0  # sequence number, row-major, of the next vote
+        self._partials = [[0] * BIN_COUNT for _ in range(cols)]  # partial bin sums per cell column
+        self._send = self._run().send
+        self._send(None)  # run it to its first yield
 
     @property
     def partial_count(self) -> int:
         return len(self._partials)
 
-    def accumulate(self, lo_bin: int, packed: float) -> list[int] | None:
-        """Fold the next pixel's vote in; returns the finished cell's bins
-        on its last pixel, else None."""
-        r, c = divmod(self._next, self.width)
-        self._next += 1
-        col = c // CELL_SIZE
-        totals = self._partials[col]
-        totals[lo_bin] += packed
-        if c % CELL_SIZE == CELL_SIZE - 1 and r % CELL_SIZE == CELL_SIZE - 1:
-            # this vote closes the cell's last 8-pixel row segment
-            self._partials[col] = [0] * BIN_COUNT
-            return fold_sides(*split_packed(np.array(totals))).astype(np.int64).tolist()
-        return None
+    def _run(self):
+        partials, out = self._partials, None
+        while True:  # a cell row
+            for y in range(CELL_SIZE):  # a pixel row of it
+                for col, totals in enumerate(partials):  # one cell's 8 pixels of that row
+                    for _ in range(CELL_SIZE):
+                        lo_bin, packed = yield out
+                        totals[lo_bin] += packed
+                        out = None
+                    if y == CELL_SIZE - 1:  # that vote closed the cell; out on its send
+                        partials[col] = [0] * BIN_COUNT
+                        out = fold_sides(*split_packed(np.array(totals))).astype(np.int64).tolist()

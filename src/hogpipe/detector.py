@@ -20,7 +20,7 @@ lies within a few ulp of the threshold may pass in one and not the other.
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class SvmModel:
         return math.prod(block_grid(self.window_cell_rows, self.window_cell_cols)) * BLOCK_VALUES
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):  # built by _make from zipped columns, no __init__ per hit
     x: int  # top-left pixel of the window
     y: int
     score: float
@@ -104,14 +103,8 @@ def detect(frame, model: SvmModel, stride_cells: int = 1) -> list[Detection]:
     # nonzero is row-major, so a stable sort keeps (y, x) among equal scores
     order = np.argsort(-hit_scores, kind="stable")
     step = stride_cells * CELL_SIZE
-    return [
-        Detection(x, y, s)
-        for x, y, s in zip(
-            (xs[order] * step).tolist(),
-            (ys[order] * step).tolist(),
-            hit_scores[order].tolist(),
-        )
-    ]
+    columns = (xs[order] * step).tolist(), (ys[order] * step).tolist(), hit_scores[order].tolist()
+    return list(map(Detection._make, zip(*columns)))
 
 
 def save_model(model: SvmModel, path) -> None:

@@ -2,35 +2,41 @@
 
 Models the first hardware stage: pixels arrive one per step in row-major
 order and pass through two row buffers plus a 3x3 window, realized here as
-a single ring holding the last 2*width + 3 pixels (the same storage, one
-array). After a warm-up of one full row plus two pixels the stage emits
-exactly one (gx, gy) pair of plain ints per step, as a hardware stage hands
-on its two registers; the pair belongs to the pixel one row and two columns
-behind the stream head, so every neighbor it needs (including the pixel
-directly below) is already buffered. Pairs come out in row-major order, so
-a pair's position is its emission count; it carries no coordinate.
+a single ring holding the last 2*width + 3 pixels. After a warm-up of one
+full row plus two pixels the stage emits exactly one (gx, gy) pair of plain
+ints per step, as a hardware stage hands on its two registers; the pair
+belongs to the pixel one row and two columns behind the stream head, so
+every neighbor it needs is already buffered. Pairs come out in row-major
+order, so a pair's position is its emission count.
 
-Differences are gx = I(r, c+1) - I(r, c-1) and gy = I(r+1, c) - I(r-1, c)
-with coordinates clamped to the frame (replicate-edge border policy). After
-the last pixel of a frame, drain() runs the remaining warm-up's worth of
-steps to flush the tail; a W x H frame yields exactly W*H pairs over
-W*H + latency steps. A bool, or a pixel that is not an integer in LUMA's
-0..255, is refused with LayoutError, as luma8 refuses a whole frame, and
-one past the frame's W*H with DimensionError, as drain refuses a short one.
+gx = I(r, c+1) - I(r, c-1) and gy = I(r+1, c) - I(r-1, c), coordinates
+clamped to the frame (replicate-edge border). After the last pixel,
+drain() flushes the tail, one pair per step: a W x H frame yields W*H
+pairs over W*H + latency steps. A bool, or a pixel that is not an integer
+in LUMA's 0..255, is refused with LayoutError, as luma8 refuses a frame,
+and one past the frame's W*H with DimensionError.
+
+The stage is a generator coroutine (PEP 342) that keeps its ring and its
+counters in locals, as a hardware stage keeps registers. push_pixel is a
+Port: on a stage it is the coroutine's send, so a pixel costs no Python
+frame but the coroutine's; on the class it is a plain (stage, pixel)
+callable that a tracer can wrap. A refused pixel restarts the coroutine
+on the kept ring and counts, then raises.
 
 warmup_steps is the one latency formula and frame_gradients the one array
 difference (on pad_frame's output); the vectorized and golden paths use them.
 """
 
 import operator
-from typing import Iterator, Optional
+from inspect import getgeneratorlocals
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DimensionError, LayoutError
 from .fixq import LUMA
 
-_LUMA_MAX = LUMA.raw_max  # bound once: push_pixel checks every pixel against it
+_LUMA_MAX = LUMA.raw_max  # bound once: the stage checks every pixel against it
 
 
 def warmup_steps(width: int) -> int:
@@ -63,56 +69,88 @@ def frame_gradients(padded: np.ndarray, top: int, gx: np.ndarray, gy: np.ndarray
     np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=gy)
 
 
+class Port:
+    """A coroutine stage's input. Read on a stage, it is the stage
+    coroutine's send; read on the class, it is itself, a plain
+    (stage, item) callable that a tracer or monkeypatch can wrap."""
+
+    def __get__(self, stage, cls=None):
+        return self if stage is None else stage._send
+
+    def __call__(self, stage, item):
+        return stage._send(item)
+
+
+_FLUSH = object()  # drain's step: the next pair out, no pixel in
+
+
 class GradientStage:
+    push_pixel = Port()  # a pixel in; its step's (gx, gy) out once warm, else None
+
     def __init__(self, width: int, height: int):
         if width < 3 or height < 3:
             raise DimensionError("gradient window needs a frame of at least 3x3")
         self.width = width
         self.height = height
-        self._cap = 2 * width + 3
-        self._ring = [0] * self._cap
-        self._latency = warmup_steps(width)
+        self._ring = [0] * (2 * width + 3)
         self._total = width * height
-        self.pushed = 0  # pixels in so far, one step each
-        self.emitted = 0  # pairs out so far; the next pair's row-major position
+        self._start(0, 0)
+
+    def _start(self, pushed: int, emitted: int) -> None:
+        self._gen = self._run(pushed, emitted)
+        self._send = self._gen.send
+        next(self._gen)
+
+    # the coroutine's counters: pixels in so far, one step each, and pairs
+    # out so far, the next pair's row-major position
+    pushed = property(lambda self: getgeneratorlocals(self._gen)["pushed"])
+    emitted = property(lambda self: getgeneratorlocals(self._gen)["emitted"])
 
     @property
     def buffered_pixels(self) -> int:
         """Live pixels held: at most two rows plus the window constant."""
-        return min(self.pushed, self._cap)
+        return min(self.pushed, len(self._ring))
 
-    def _emit(self) -> tuple[int, int]:
-        w, cap, ring = self.width, self._cap, self._ring
-        m = self.emitted
-        r, c = divmod(m, w)
-        here = ring[m % cap]
-        left = ring[(m - 1) % cap] if c > 0 else here
-        right = ring[(m + 1) % cap] if c < w - 1 else here
-        up = ring[(m - w) % cap] if r > 0 else here
-        down = ring[(m + w) % cap] if r < self.height - 1 else here
-        self.emitted += 1
-        return right - left, down - up
-
-    def push_pixel(self, luma: int) -> Optional[tuple[int, int]]:
-        """One stream step. Returns (gx, gy) once warm-up has passed, else None."""
-        try:
-            px = operator.index(luma)
-        except TypeError:
-            px = -1  # not an integer
-        if not 0 <= px <= _LUMA_MAX or luma is True or luma is False:
-            raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}")
-        n = self.pushed
-        if n == self._total:
-            raise DimensionError(f"pixel {n + 1} is past the end of a {n}-pixel frame")
-        self._ring[n % self._cap] = px
-        self.pushed = n = n + 1
-        if n > self._latency:
-            return self._emit()
-        return None
+    def _run(self, pushed: int, emitted: int):
+        w, ring, total, index = self.width, self._ring, self._total, operator.index
+        cap, latency, last_row, last_col = len(ring), warmup_steps(w), self.height - 1, w - 1
+        r, c = divmod(emitted, w)  # the next pair's row and column
+        out = None
+        while True:
+            luma = yield out
+            try:
+                px = index(luma)
+            except TypeError:
+                px = -1  # not an integer
+            if not 0 <= px <= _LUMA_MAX or luma is True or luma is False:
+                if luma is not _FLUSH:
+                    self._start(pushed, emitted)
+                    raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}")
+            elif pushed == total:
+                self._start(pushed, emitted)
+                raise DimensionError(
+                    f"pixel {pushed + 1} is past the end of a {pushed}-pixel frame"
+                )
+            else:
+                ring[pushed % cap] = px
+                pushed += 1
+                if pushed <= latency:
+                    continue  # warming up: out is still None
+            p = emitted % cap  # the pair at (r, c); negative indices wrap the ring
+            here = ring[p]
+            left = ring[p - 1] if c else here
+            right = ring[p + 1 - cap] if c < last_col else here
+            up = ring[p - w] if r else here
+            down = ring[p + w - cap] if r < last_row else here
+            out = right - left, down - up
+            emitted += 1
+            c += 1
+            if c == w:
+                r, c = r + 1, 0
 
     def drain(self) -> Iterator[tuple[int, int]]:
         """Flush steps after the frame's last pixel; one emission per step."""
         if self.pushed != self._total:
             raise DimensionError(f"drain after {self.pushed} pixels, frame has {self._total}")
-        while self.emitted < self._total:
-            yield self._emit()
+        for _ in range(self._total - self.emitted):
+            yield self._send(_FLUSH)

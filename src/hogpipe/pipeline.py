@@ -1,31 +1,31 @@
 """One-pixel-per-step feature pipeline.
 
 Wires gradient extraction, polar conversion, orientation voting, cell
-accumulation and block assembly into a single streaming extractor. One
-step ingests one pixel; all stages advance synchronously on it, so the
-step ledger mirrors a single-clock-domain datapath. After the last pixel
-the gradient stage drains its latency tail, each flushed pixel costing
-one further step; the ledger is the gradient stage's pixels and drained
-steps. pixels_per_step is then just under 1.0: the frame's pixel count
-divided by pixel count plus warm-up.
+accumulation and block assembly into one streaming extractor. A step
+ingests one pixel and every stage advances on it, as in a single-clock
+datapath. After the last pixel the gradient stage drains its latency
+tail, one step per flushed pair; the step ledger is the gradient stage's
+pixels and drained steps, so pixels_per_step is just under 1.0.
 
 Stages hand each other plain values, as hardware stages hand on
 registers (ints per pixel, nine bins per cell, 36 floats per block), and
-each item's position is its count in stream order. The tap records
-(GradientPair, PolarGradient, BinVote, CellHistogram, BlockDescriptor)
-are defined here and built, with that position, only when a Tap asks.
+an item's position is its count in stream order. The gradient and cell
+stages are generator coroutines; their push_pixel and accumulate are
+gradient.Port descriptors, so the pipeline steps each through its
+coroutine's send, with no Python frame per item of its own, while a
+tracer can still wrap either on its class. The tap records are built,
+with their position, only when a Tap asks.
 
-run_frame is the instrumented streaming path: it feeds the frame's pixels
-to one pair loop, which reads each pair's low bin and packed weight from
-the memoized vote table (the polar table only for the polar tap) and
-places each finished cell and its block; the block ring squares each cell
-once. run_frame_fast computes the identical HogFrame with arrays (not
-thread-safe): cells.frame_votes gathers each strip's keys and packed
-weights from the same table, cells.add_votes bincounts them and adds each
-high side one bin up, and blocks.normalize_grid squares each cell once.
-Its cells are integer-identical to the scalar datapath's and its block
-square sums exact; both paths divide in blocks.normalize_blocks, so the
-outputs match element-exactly. It owns no datapath decision.
+run_frame is the instrumented streaming path: feed maps the frame's
+pixels through push_pixel, and one pair loop reads each pair's vote (low
+bin and packed weight) from the memoized vote table (the polar table
+only for the polar tap), sends it to accumulate and places each finished
+cell and its block. run_frame_fast computes the identical HogFrame with
+arrays (not thread-safe): cells.frame_votes gathers each strip's keys and
+packed weights from the same table, cells.add_votes bincounts them, and
+blocks.normalize_grid squares each cell once. Cells are integer-identical
+and block square sums exact on both paths, and both divide in
+blocks.normalize_blocks, so the outputs match element-exactly.
 """
 
 from dataclasses import dataclass, field
@@ -130,7 +130,7 @@ class StreamingPipeline:
     the frame's last, DimensionError), or feed() them, in row-major order,
     then finish(); either way each gradient pair goes through _take, the
     one per-pair loop. The polar and voting stages are one read of the
-    memoized vote table: a low bin and a packed weight. A ring's fill
+    memoized vote table, a (low bin, packed weight) vote. A ring's fill
     never drops within a frame, so the peak buffer occupancy of the
     memory-bound check is the rings' current fill; the tables are constant
     data and deliberately not counted.
@@ -147,6 +147,8 @@ class StreamingPipeline:
         self._cell_grid = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
         self._block_grid = np.zeros((*block_grid(cr, cc), BLOCK_VALUES))
         self._captures = {t: [] for t in cfg.taps}
+        self._tap_pairs = bool(self._captures.keys() - {Tap.CELLS, Tap.BLOCKS})  # a record per pair
+        self._tapped = 0  # pairs the per-pixel taps recorded; the next one's position
         self._drained = 0  # steps after the last pixel, counted by finish()
         self.cells_out = 0
         self.blocks_out = 0
@@ -194,13 +196,13 @@ class StreamingPipeline:
 
     def _take(self, pairs) -> None:
         accumulate, lo_bins, weights = self._cells.accumulate, self._lo_bins, self._weights
-        cap = self._captures
+        cap, tap_pairs = self._captures, self._tap_pairs
         for gx, gy in pairs:
             i = grid_index(gx, gy)
             lo, packed = lo_bins[i], weights[i]
-            if cap:
+            if tap_pairs:
                 self._tap_pair(gx, gy, i, lo, packed)
-            bins = accumulate(lo, packed)
+            bins = accumulate((lo, packed))
             if bins is not None:  # the vote closed a cell
                 r, c = divmod(self.cells_out, self._blocks.cells_cols)
                 self.cells_out += 1
@@ -217,7 +219,8 @@ class StreamingPipeline:
 
     def _tap_pair(self, gx: int, gy: int, i: int, lo: int, packed: float) -> None:
         cap = self._captures
-        r, c = divmod(self._grad.emitted - 1, self.cfg.width)
+        r, c = divmod(self._tapped, self.cfg.width)
+        self._tapped += 1
         if Tap.GRADIENTS in cap:
             cap[Tap.GRADIENTS].append(GradientPair(gx, gy, r, c))
         if Tap.POLAR in cap:

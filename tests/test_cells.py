@@ -22,7 +22,7 @@ def feed_frame(acc, width, height, make_vote):
     out = []
     for r in range(height):
         for c in range(width):
-            h = acc.accumulate(*make_vote(r, c))
+            h = acc.accumulate(make_vote(r, c))
             if h is not None:
                 out.append(h)
     return out
@@ -59,7 +59,7 @@ def test_emission_happens_on_local_seven_seven():
     emitted_at = []
     for r in range(8):
         for c in range(16):
-            if acc.accumulate(*synth_vote()) is not None:
+            if acc.accumulate(synth_vote()) is not None:
                 emitted_at.append((r, c))
     assert emitted_at == [(7, 7), (7, 15)]
 
@@ -87,7 +87,7 @@ def test_16x16_matches_nested_loop_bucketing():
             return
         i = grid_index(*g)
         lo, lo_w, hi_w = vote_raw(int(table.mag_raw[i]), int(table.ang_raw[i]))
-        h = acc.accumulate(*synth_vote(lo, lo_w, hi_w))
+        h = acc.accumulate(synth_vote(lo, lo_w, hi_w))
         if h is not None:
             streamed.append(h)
 
@@ -122,7 +122,7 @@ def test_mass_conservation_random_votes(seed, width, height):
             lo_w = int(rng.integers(0, 1000))
             hi_w = int(rng.integers(0, 1000))
             total_in += lo_w + hi_w
-            h = acc.accumulate(*synth_vote(lo_b, lo_w, hi_w))
+            h = acc.accumulate(synth_vote(lo_b, lo_w, hi_w))
             if h is not None:
                 hists.append(h)
     assert len(hists) == (width // 8) * (height // 8)

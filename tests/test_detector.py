@@ -14,7 +14,7 @@ from hogpipe.detector import (
 )
 from hogpipe.errors import CountMismatch, FormatError, OutOfBoundsError
 from hogpipe.pipeline import PipelineConfig, run_frame_fast
-from hogpipe.textures import make_corpus
+from hogpipe.textures import make_corpus, smooth_noise
 
 N_FEATURES = 3780
 
@@ -334,3 +334,20 @@ def test_load_rejects_negative_count(tmp_path):
 def test_detection_fields():
     d = Detection(x=16, y=24, score=0.5)
     assert (d.x, d.y, d.score) == (16, 24, 0.5)
+
+
+def test_vga_frame_hits_are_immutable_sorted_and_match_score_window():
+    cfg = PipelineConfig(width=640, height=480)
+    hog, _ = run_frame_fast(smooth_noise(cfg.width, cfg.height, seed=3), cfg)
+    rng = np.random.default_rng(7)
+    model = SvmModel(weights=rng.normal(size=N_FEATURES), threshold=-math.inf)
+    hits = detect(hog, model)
+    assert len(hits) == 3285  # 73 x 45 windows on the 80x60 cell grid
+    assert Detection._fields == ("x", "y", "score")
+    assert all(type(d) is Detection for d in hits)
+    assert hits == sorted(hits, key=lambda d: (-d.score, d.y, d.x))
+    assert len(set(hits)) == len(hits) and hits[0] == Detection(*hits[0])
+    for d in hits:
+        assert near(d.score, score_window(hog, d.x // 8, d.y // 8, model))
+    with pytest.raises(AttributeError):
+        hits[0].score = 0.0

@@ -1,6 +1,9 @@
 import collections
 import dataclasses
+import importlib.util
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hogpipe.cells import CellAccumulator
 from hogpipe.cordic import CordicConfig
 from hogpipe.errors import DimensionError, LayoutError, TapNotEnabled
 from hogpipe.golden import golden_hog
-from hogpipe.gradient import GradientStage
+from hogpipe.gradient import GradientStage, Port
 from hogpipe.pipeline import (
     PipelineConfig,
     RunStats,
@@ -176,6 +179,101 @@ def test_run_frame_calls_each_traced_stage_method_once_per_item(monkeypatch):
     ref, _ = run_frame(luma, cfg_for(luma))
     assert np.array_equal(hog.cells, ref.cells)
     assert np.array_equal(hog.blocks, ref.blocks)
+
+
+def load_perfbench_tracer():
+    """perfbench/tracer.py as it stands, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_counts_each_stage_port_once_per_item():
+    t0 = time.perf_counter()
+    tracer = load_perfbench_tracer()
+    targets = [
+        tracer.Target("gradient.push_pixel", "hogpipe.gradient:GradientStage", "push_pixel"),
+        tracer.Target("cells.accumulate", "hogpipe.cells:CellAccumulator", "accumulate"),
+        tracer.Target("blocks.add", "hogpipe.blocks:BlockAssembler", "add"),
+    ]
+    luma = rand_frame((24, 32), 16)
+    traced = tracer.Tracer(targets)
+    with traced.installed():
+        hog, stats = run_frame(luma, cfg_for(luma))
+    calls = {name: span.calls for name, span in traced.spans.items()}
+    assert calls == {"gradient.push_pixel": 24 * 32, "cells.accumulate": 24 * 32, "blocks.add": 12}
+    # the tracer put each class's descriptor back, so an instance steps its coroutine again
+    assert type(vars(GradientStage)["push_pixel"]) is Port
+    assert type(vars(CellAccumulator)["accumulate"]) is Port
+    ref, ref_stats = run_frame(luma, cfg_for(luma))
+    assert stats == ref_stats
+    assert np.array_equal(hog.cells, ref.cells)
+    assert np.array_equal(hog.blocks, ref.blocks)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_port_is_the_coroutine_send_on_a_stage_and_callable_on_the_class():
+    stage, cells = GradientStage(4, 4), CellAccumulator(8, 8)
+    assert stage.push_pixel == stage._send and cells.accumulate == cells._send
+    assert GradientStage.push_pixel(stage, 3) is None
+    assert stage.pushed == 1 and stage.emitted == 0
+    assert CellAccumulator.accumulate(cells, (0, 1.0)) is None
+
+
+@pytest.mark.parametrize("bad", [256, True], ids=["256", "true"])
+@pytest.mark.parametrize("accepted", [10, 300], ids=["warm-up", "mid-frame"])
+@pytest.mark.parametrize("port", ["step", "feed"])
+def test_refused_pixel_restarts_the_stage_on_its_kept_state(port, accepted, bad):
+    luma = rand_frame((24, 32), 17)
+    pixels = luma.ravel().tolist()
+    cfg = cfg_for(luma, taps=frozenset(Tap))
+    pipe = StreamingPipeline(cfg)
+    pipe.feed(pixels[:accepted])
+    grad = pipe._grad
+    before = grad.pushed, grad.emitted, grad.buffered_pixels
+    with pytest.raises(LayoutError):
+        if port == "feed":
+            pipe.feed([bad] + pixels[accepted:])
+        else:
+            pipe.step(bad)
+    assert (grad.pushed, grad.emitted, grad.buffered_pixels) == before
+    pipe.feed(pixels[accepted:])
+    hog, stats = pipe.finish()
+    ref = StreamingPipeline(cfg)
+    ref.feed(pixels)
+    want, want_stats = ref.finish()
+    assert (stats, want_stats) == (run_frame(luma, cfg_for(luma))[1],) * 2
+    assert np.array_equal(hog.cells, want.cells)
+    assert np.array_equal(hog.blocks, want.blocks)
+    for tap in Tap:
+        got = [record_values(r) for r in pipe.captures(tap)]
+        assert got == [record_values(r) for r in ref.captures(tap)]
+
+
+@pytest.mark.parametrize(
+    "taps", [{Tap.CELLS}, {Tap.BLOCKS}, {Tap.CELLS, Tap.BLOCKS}], ids=["cells", "blocks", "both"]
+)
+def test_cell_and_block_taps_build_no_per_pair_record(monkeypatch, taps):
+    luma = rand_frame((24, 32), 19)
+    every = StreamingPipeline(cfg_for(luma, taps=frozenset(Tap)))
+    every.feed(luma.ravel().tolist())
+    want, want_stats = every.finish()
+
+    def refuse(*args):
+        raise AssertionError("a per-pair tap record was built")
+
+    monkeypatch.setattr(StreamingPipeline, "_tap_pair", refuse)
+    pipe = StreamingPipeline(cfg_for(luma, taps=taps))
+    pipe.feed(luma.ravel().tolist())
+    hog, stats = pipe.finish()
+    assert stats == want_stats
+    assert np.array_equal(hog.cells, want.cells)
+    assert np.array_equal(hog.blocks, want.blocks)
+    for tap in taps:
+        got = [record_values(r) for r in pipe.captures(tap)]
+        assert got == [record_values(r) for r in every.captures(tap)]
 
 
 def test_streaming_port_takes_numpy_integers_as_ints():
