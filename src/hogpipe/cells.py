@@ -13,7 +13,8 @@ out in row-major order, so a cell's position is its emission count.
 
 CellAccumulator is a generator coroutine whose loops are the scan's
 counters; accumulate is its gradient.Port, the coroutine's send on a
-stage and a plain (stage, vote) callable on the class.
+stage and a plain (stage, vote) callable on the class. A malformed vote
+is not counted: the stage goes on in a new coroutine from the same vote.
 
 Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
 of headroom; 64 maximal magnitudes cannot overflow. CELL_SIZE comes from
@@ -112,22 +113,34 @@ class CellAccumulator:
     def __init__(self, width: int, height: int):
         cols, _ = cells_per_frame(width, height)
         self._partials = [[0] * BIN_COUNT for _ in range(cols)]  # partial bin sums per cell column
-        self._send = self._run().send
+        self._start(0, 0, 0)
+
+    def _start(self, y: int, col: int, k: int) -> None:
+        self._send = self._run(y, col, k).send
         self._send(None)  # run it to its first yield
 
     @property
     def partial_count(self) -> int:
         return len(self._partials)
 
-    def _run(self):
+    def _run(self, y: int, col: int, k: int):  # the next vote's pixel row, cell and pixel in it
         partials, out = self._partials, None
-        while True:  # a cell row
-            for y in range(CELL_SIZE):  # a pixel row of it
-                for col, totals in enumerate(partials):  # one cell's 8 pixels of that row
-                    for _ in range(CELL_SIZE):
-                        lo_bin, packed = yield out
-                        totals[lo_bin] += packed
-                        out = None
-                    if y == CELL_SIZE - 1:  # that vote closed the cell; out on its send
-                        partials[col] = [0] * BIN_COUNT
-                        out = fold_sides(*split_packed(np.array(totals))).astype(np.int64).tolist()
+        try:
+            while True:  # a cell row
+                for y in range(y, CELL_SIZE):  # a pixel row of it
+                    for col in range(col, len(partials)):  # one cell's 8 pixels of that row
+                        totals = partials[col]
+                        for k in range(k, CELL_SIZE):
+                            lo_bin, packed = yield out
+                            totals[lo_bin] += packed
+                            out = None
+                        if y == CELL_SIZE - 1:  # that vote closed the cell; out on its send
+                            partials[col] = [0] * BIN_COUNT
+                            bins = fold_sides(*split_packed(np.array(totals)))
+                            out = bins.astype(np.int64).tolist()
+                        k = 0
+                    col = 0
+                y = 0
+        except (Exception, KeyboardInterrupt):  # a malformed vote, uncounted: go on from it
+            self._start(y, col, k)
+            raise

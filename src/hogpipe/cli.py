@@ -13,7 +13,7 @@ import math
 import struct
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,8 +102,8 @@ def read_features(path) -> FeatureFile:
     return FeatureFile(view, wc, hc, bins, values.copy())
 
 
-def _print_stats(pairs) -> None:
-    for key, val in pairs:
+def _print_stats(**stats) -> None:
+    for key, val in stats.items():
         print(f"{key}={val}")
 
 
@@ -113,26 +113,12 @@ def cmd_extract(args) -> int:
     if args.golden:
         g = golden_hog(frame.luma)
         cells, blocks = g.cells, g.blocks
-        _print_stats(
-            [
-                ("pixels_in", cfg.width * cfg.height),
-                ("cells_out", cells.size // BIN_COUNT),
-                ("blocks_out", blocks.size // BLOCK_VALUES),
-            ]
-        )
+        n_cells, n_blocks = cells.size // BIN_COUNT, blocks.size // BLOCK_VALUES
+        _print_stats(pixels_in=cfg.width * cfg.height, cells_out=n_cells, blocks_out=n_blocks)
     else:
         hog, stats = run_frame_fast(frame.luma, cfg)
         cells, blocks = dequantize(hog.cells), hog.blocks
-        _print_stats(
-            [
-                ("pixels_in", stats.pixels_in),
-                ("steps", stats.steps),
-                ("warmup_steps", stats.warmup_steps),
-                ("cells_out", stats.cells_out),
-                ("blocks_out", stats.blocks_out),
-                ("pixels_per_step", f"{stats.pixels_per_step:.6f}"),
-            ]
-        )
+        _print_stats(**asdict(stats), pixels_per_step=f"{stats.pixels_per_step:.6f}")
     hc, wc = cells.shape[:2]
     if args.view == "cell":
         write_features(args.output, VIEW_CELL_RAW, wc, hc, cells)
@@ -164,14 +150,12 @@ def cmd_bench(args) -> int:
     pixels = args.frames * args.width * args.height
     mps = pixels / elapsed / 1e6
     _print_stats(
-        [
-            ("frames", args.frames),
-            ("width", args.width),
-            ("height", args.height),
-            ("pixels_per_step", f"{stats.pixels_per_step:.6f}"),
-            ("megapixels_per_second", f"{mps:.2f}"),
-            ("fps_equivalent", f"{pixels / elapsed / (args.width * args.height):.1f}"),
-        ]
+        frames=args.frames,
+        width=args.width,
+        height=args.height,
+        pixels_per_step=f"{stats.pixels_per_step:.6f}",
+        megapixels_per_second=f"{mps:.2f}",
+        fps_equivalent=f"{pixels / elapsed / (args.width * args.height):.1f}",
     )
     return EXIT_OK
 

@@ -20,7 +20,7 @@ lies within a few ulp of the threshold may pass in one and not the other.
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class SvmModel:
         return math.prod(block_grid(self.window_cell_rows, self.window_cell_cols)) * BLOCK_VALUES
 
 
-class Detection(NamedTuple):  # built by _make from zipped columns, no __init__ per hit
+@dataclass(frozen=True)
+class Detection:
     x: int  # top-left pixel of the window
     y: int
     score: float
@@ -104,7 +105,7 @@ def detect(frame, model: SvmModel, stride_cells: int = 1) -> list[Detection]:
     order = np.argsort(-hit_scores, kind="stable")
     step = stride_cells * CELL_SIZE
     columns = (xs[order] * step).tolist(), (ys[order] * step).tolist(), hit_scores[order].tolist()
-    return list(map(Detection._make, zip(*columns)))
+    return [Detection(*hit) for hit in zip(*columns)]
 
 
 def save_model(model: SvmModel, path) -> None:

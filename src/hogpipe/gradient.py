@@ -20,8 +20,9 @@ The stage is a generator coroutine (PEP 342) that keeps its ring and its
 counters in locals, as a hardware stage keeps registers. push_pixel is a
 Port: on a stage it is the coroutine's send, so a pixel costs no Python
 frame but the coroutine's; on the class it is a plain (stage, pixel)
-callable that a tracer can wrap. A refused pixel restarts the coroutine
-on the kept ring and counts, then raises.
+callable that a tracer can wrap. A refused pixel, or anything else raised
+out of a step, restarts the coroutine on the kept ring and counts, then
+raises, so a port read from the stage before the error is spent.
 
 warmup_steps is the one latency formula and frame_gradients the one array
 difference (on pad_frame's output); the vectorized and golden paths use them.
@@ -72,7 +73,11 @@ def frame_gradients(padded: np.ndarray, top: int, gx: np.ndarray, gy: np.ndarray
 class Port:
     """A coroutine stage's input. Read on a stage, it is the stage
     coroutine's send; read on the class, it is itself, a plain
-    (stage, item) callable that a tracer or monkeypatch can wrap."""
+    (stage, item) callable that a tracer or monkeypatch can wrap.
+
+    An error out of a send ends that coroutine, and the stage goes on in a
+    new one, so read the port again after an error: the spent send raises
+    StopIteration, which map and for take as the end of their input."""
 
     def __get__(self, stage, cls=None):
         return self if stage is None else stage._send
@@ -101,8 +106,8 @@ class GradientStage:
         self._send = self._gen.send
         next(self._gen)
 
-    # the coroutine's counters: pixels in so far, one step each, and pairs
-    # out so far, the next pair's row-major position
+    # _run's locals of these names, read from its suspended frame: pixels in
+    # so far, one step each, and pairs out so far, the next pair's position
     pushed = property(lambda self: getgeneratorlocals(self._gen)["pushed"])
     emitted = property(lambda self: getgeneratorlocals(self._gen)["emitted"])
 
@@ -111,42 +116,46 @@ class GradientStage:
         """Live pixels held: at most two rows plus the window constant."""
         return min(self.pushed, len(self._ring))
 
-    def _run(self, pushed: int, emitted: int):
+    def _run(self, pushed: int, emitted: int):  # pushed, emitted: read by name above
         w, ring, total, index = self.width, self._ring, self._total, operator.index
         cap, latency, last_row, last_col = len(ring), warmup_steps(w), self.height - 1, w - 1
         r, c = divmod(emitted, w)  # the next pair's row and column
         out = None
-        while True:
-            luma = yield out
-            try:
-                px = index(luma)
-            except TypeError:
-                px = -1  # not an integer
-            if not 0 <= px <= _LUMA_MAX or luma is True or luma is False:
-                if luma is not _FLUSH:
-                    self._start(pushed, emitted)
-                    raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}")
-            elif pushed == total:
-                self._start(pushed, emitted)
-                raise DimensionError(
-                    f"pixel {pushed + 1} is past the end of a {pushed}-pixel frame"
-                )
-            else:
-                ring[pushed % cap] = px
-                pushed += 1
-                if pushed <= latency:
-                    continue  # warming up: out is still None
-            p = emitted % cap  # the pair at (r, c); negative indices wrap the ring
-            here = ring[p]
-            left = ring[p - 1] if c else here
-            right = ring[p + 1 - cap] if c < last_col else here
-            up = ring[p - w] if r else here
-            down = ring[p + w - cap] if r < last_row else here
-            out = right - left, down - up
-            emitted += 1
-            c += 1
-            if c == w:
-                r, c = r + 1, 0
+        try:
+            while True:
+                luma = yield out
+                try:
+                    px = index(luma)
+                except TypeError:
+                    px = -1  # not an integer
+                if not 0 <= px <= _LUMA_MAX or luma is True or luma is False:
+                    if luma is not _FLUSH:
+                        raise LayoutError(
+                            f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}"
+                        )
+                elif pushed == total:
+                    raise DimensionError(
+                        f"pixel {pushed + 1} is past the end of a {pushed}-pixel frame"
+                    )
+                else:
+                    ring[pushed % cap] = px
+                    pushed += 1
+                    if pushed <= latency:
+                        continue  # warming up: out is still None
+                p = emitted % cap  # the pair at (r, c); negative indices wrap the ring
+                here = ring[p]
+                left = ring[p - 1] if c else here
+                right = ring[p + 1 - cap] if c < last_col else here
+                up = ring[p - w] if r else here
+                down = ring[p + w - cap] if r < last_row else here
+                out = right - left, down - up
+                emitted += 1
+                c += 1
+                if c == w:
+                    r, c = r + 1, 0
+        except (Exception, KeyboardInterrupt):  # refused or interrupted: go on from here
+            self._start(pushed, emitted)
+            raise
 
     def drain(self) -> Iterator[tuple[int, int]]:
         """Flush steps after the frame's last pixel; one emission per step."""

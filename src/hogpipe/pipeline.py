@@ -235,9 +235,7 @@ class StreamingPipeline:
 def _as_luma(frame, cfg: PipelineConfig) -> np.ndarray:
     luma = luma8(frame)
     if luma.shape != (cfg.height, cfg.width):
-        raise DimensionError(
-            f"frame is {luma.shape}, config wants {(cfg.height, cfg.width)}"
-        )
+        raise DimensionError(f"frame is {luma.shape}, config wants {(cfg.height, cfg.width)}")
     return luma
 
 
@@ -267,11 +265,6 @@ def run_frame_fast(frame, cfg: PipelineConfig) -> tuple[HogFrame, RunStats]:
         add_votes(cells, *votes)
     blocks = normalize_grid(cells)
 
-    stats = RunStats(
-        pixels_in=h * w,
-        steps=h * w + warmup_steps(w),
-        warmup_steps=warmup_steps(w),
-        cells_out=cells.size // BIN_COUNT,
-        blocks_out=blocks.size // BLOCK_VALUES,
-    )
+    n, warmup = h * w, warmup_steps(w)
+    stats = RunStats(n, n + warmup, warmup, cells.size // BIN_COUNT, blocks.size // BLOCK_VALUES)
     return HogFrame(cells=cells, blocks=blocks), stats

@@ -64,6 +64,35 @@ def test_emission_happens_on_local_seven_seven():
     assert emitted_at == [(7, 7), (7, 15)]
 
 
+class InterruptingWeight:
+    """A weight whose addition is interrupted, as by Ctrl-C mid-vote."""
+
+    def __radd__(self, other):
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("at", [0, 119, 120, 128, 255])
+@pytest.mark.parametrize(
+    "bad", [(9, 1.0), (0, "w"), (0,), (0, InterruptingWeight())],
+    ids=["bin", "weight", "short", "interrupt"],
+)
+def test_malformed_vote_is_not_counted_and_the_stage_goes_on(bad, at):
+    rng = np.random.default_rng(29)
+    votes = [synth_vote(*map(int, v)) for v in rng.integers(0, [9, 64, 64], size=(256, 3))]
+
+    def run(stream):  # each send's output, "refused" where it raised
+        acc, out = CellAccumulator(16, 16), []
+        for v in stream:
+            try:
+                out.append(acc.accumulate(v))
+            except (IndexError, TypeError, ValueError, KeyboardInterrupt):
+                out.append("refused")
+        return out
+
+    want = run(votes)
+    assert run(votes[:at] + [bad] + votes[at:]) == want[:at] + ["refused"] + want[at:]
+
+
 def test_votes_split_between_two_bins():
     acc = CellAccumulator(8, 8)
     hists = feed_frame(acc, 8, 8, lambda r, c: synth_vote(8, 40, 24))

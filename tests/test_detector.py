@@ -343,10 +343,9 @@ def test_vga_frame_hits_are_immutable_sorted_and_match_score_window():
     model = SvmModel(weights=rng.normal(size=N_FEATURES), threshold=-math.inf)
     hits = detect(hog, model)
     assert len(hits) == 3285  # 73 x 45 windows on the 80x60 cell grid
-    assert Detection._fields == ("x", "y", "score")
     assert all(type(d) is Detection for d in hits)
     assert hits == sorted(hits, key=lambda d: (-d.score, d.y, d.x))
-    assert len(set(hits)) == len(hits) and hits[0] == Detection(*hits[0])
+    assert len(set(hits)) == len(hits) and hits[0] == Detection(hits[0].x, hits[0].y, hits[0].score)
     for d in hits:
         assert near(d.score, score_window(hog, d.x // 8, d.y // 8, model))
     with pytest.raises(AttributeError):

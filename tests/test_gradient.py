@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hogpipe.errors import DimensionError
+from hogpipe.errors import DimensionError, LayoutError
 from hogpipe.gradient import GradientStage, warmup_steps
 from oracles import ref_gradients
 
@@ -111,6 +111,34 @@ def test_pixel_past_the_frame_is_refused_before_the_ring():
     with pytest.raises(DimensionError):
         stage.push_pixel(7)
     assert stage.pushed == 20
+    pairs += stage.drain()
+    assert np.array_equal(to_array(pairs, (4, 5)), ref_gradients(luma))
+
+
+class Interrupting:
+    """A pixel whose read is interrupted, as by Ctrl-C mid-step."""
+
+    def __index__(self):
+        raise KeyboardInterrupt
+
+
+def test_a_port_read_before_an_error_is_spent_and_the_stage_goes_on():
+    luma = np.random.default_rng(5).integers(0, 256, size=(4, 5), dtype=np.uint8)
+    pixels = luma.ravel().tolist()
+    stage = GradientStage(5, 4)
+    push = stage.push_pixel
+    pairs = [g for v in pixels[:9] if (g := push(v)) is not None]
+    with pytest.raises(LayoutError):
+        push(256)
+    with pytest.raises(KeyboardInterrupt):
+        stage.push_pixel(Interrupting())
+    assert (stage.pushed, stage.emitted, stage.buffered_pixels) == (9, 2, 9)
+    # each error moved the stage to a new coroutine; the send read before the
+    # first is spent, and its StopIteration is what map takes as the end
+    with pytest.raises(StopIteration):
+        push(pixels[9])
+    assert list(map(push, pixels[9:])) == []
+    pairs += [g for v in pixels[9:] if (g := stage.push_pixel(v)) is not None]
     pairs += stage.drain()
     assert np.array_equal(to_array(pairs, (4, 5)), ref_gradients(luma))
 
