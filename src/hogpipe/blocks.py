@@ -13,12 +13,15 @@ emitted the moment cell (r, c) arrives. Cells and blocks carry no
 coordinate: each one's row-major position is its count.
 
 Every path squares each cell once, as a hardware block stage does, and
-sums a block's four per-cell square sums; normalize_blocks is their one
-division, dequantize their one conversion of raw cells. A raw cell is
-below CELL_ACC.raw_max < 2**22, so its value's square is a multiple of
-2**-12 below 2**32 and a block's sum of 36 is one below 2**38: 50 bits,
-exact in float64 in any order, so streamed and batch blocks agree
-element-exactly. block_corners owns the block layout.
+sums a block's four per-cell square sums; dequantize (raw cells to values)
+and block_norm (the divisor) take a Python number or an array.
+normalize_blocks divides arrays; BlockAssembler keeps plain floats, so a
+cell costs no small-array call but block_norm's. A raw cell is below
+CELL_ACC.raw_max < 2**22, so its value's square is a multiple of 2**-12
+below 2**32 and a block's sum of 36 is one below 2**38: 50 bits, exact in
+float64 in any order. sqrt and / are correctly rounded in numpy and Python
+alike, so streamed and batch blocks agree element-exactly. block_corners
+owns the block layout.
 """
 
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ from .voting import BIN_COUNT
 
 BLOCK_EPSILON = 1e-3
 BLOCK_VALUES = 4 * BIN_COUNT  # the bins of a block's 2x2 cells
+_SCALE = MAG.scale  # bound once: BlockAssembler.add converts each bin alone
 
 
 def block_grid(cell_rows: int, cell_cols: int) -> tuple[int, int]:
@@ -44,9 +48,14 @@ def block_corners(cells: np.ndarray) -> tuple:
     return cells[:-1, :-1], cells[:-1, 1:], cells[1:, :-1], cells[1:, 1:]
 
 
-def dequantize(raw) -> np.ndarray:
-    """Raw cell accumulators in real magnitude units, as float64."""
-    return np.asarray(raw) / MAG.scale
+def dequantize(raw):
+    """Raw cell accumulators in real magnitude units; an int or an int array."""
+    return raw / _SCALE
+
+
+def block_norm(square_sums):
+    """The divisor of blocks with these square sums, a float or an array."""
+    return np.sqrt(square_sums + BLOCK_EPSILON * BLOCK_EPSILON)
 
 
 def normalize_blocks(values: np.ndarray, square_sums: np.ndarray) -> np.ndarray:
@@ -54,7 +63,7 @@ def normalize_blocks(values: np.ndarray, square_sums: np.ndarray) -> np.ndarray:
     divided by its norm from the (rows - 1, cols - 1) block square sums, in
     place in the one output copy: a (rows - 1, cols - 1, 36) float64 array."""
     blocks = np.concatenate(block_corners(values), axis=-1)
-    blocks /= np.sqrt(square_sums + BLOCK_EPSILON * BLOCK_EPSILON)[..., None]
+    blocks /= block_norm(square_sums)[..., None]
     return blocks
 
 
@@ -68,7 +77,7 @@ def normalize_grid(cells: np.ndarray) -> np.ndarray:
 
 class BlockAssembler:
     """Turns a row-major stream of cell bins into a row-major stream of
-    normalized blocks through a ring of cells_cols + 1 (values, square sum) cells."""
+    normalized blocks through a ring of cells_cols + 1 (floats, square sum) cells."""
 
     def __init__(self, cells_cols: int):
         if cells_cols < 1:
@@ -83,18 +92,18 @@ class BlockAssembler:
         """Live cells held: at most one cell row plus one."""
         return min(self._next, self._cap)
 
-    def add(self, bins: list[int]) -> np.ndarray | None:
+    def add(self, bins: list[int]) -> list[float] | None:
         """Take the next cell's nine raw bins; returns the 36 normalized
-        values of the block it completes, else None."""
+        values of the block it completes, as a list of floats, else None."""
         n, cols, cap, ring = self._next, self.cells_cols, self._cap, self._ring
         self._next += 1
-        values = dequantize(bins)
+        values = list(map(dequantize, bins))
         tl = ring[n % cap]  # cell n - cols - 1, the top-left of a block
-        ring[n % cap] = br = values, values @ values  # squared once, as it closes
+        ring[n % cap] = br = values, sum([v * v for v in values])  # squared once, as it closes
         if n > cols and n % cols:
             tr, bl = ring[(n - cols) % cap], ring[(n - 1) % cap]
-            grid = np.array([[tl[0], tr[0]], [bl[0], values]])
-            return normalize_blocks(grid, np.array([[tl[1] + tr[1] + bl[1] + br[1]]]))[0, 0]
+            norm = float(block_norm(tl[1] + tr[1] + bl[1] + br[1]))  # float / float, not numpy's
+            return [v / norm for v in tl[0] + tr[0] + bl[0] + values]
         return None
 
 

@@ -77,7 +77,7 @@ def write_features(path, view: int, width_cells: int, height_cells: int, values)
         f.write(
             _HEADER.pack(_MAGIC, _VERSION, view, width_cells, height_cells, BIN_COUNT)
         )
-        f.write(payload.tobytes())
+        f.write(payload)
 
 
 def read_features(path) -> FeatureFile:

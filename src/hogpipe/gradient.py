@@ -14,7 +14,8 @@ clamped to the frame (replicate-edge border). After the last pixel,
 drain() flushes the tail, one pair per step: a W x H frame yields W*H
 pairs over W*H + latency steps. A bool, or a pixel that is not an integer
 in LUMA's 0..255, is refused with LayoutError, as luma8 refuses a frame,
-and one past the frame's W*H with DimensionError.
+and one past the frame's W*H with DimensionError. A pixel of class exactly
+int needs only the range check; any other goes through operator.index.
 
 The stage is a generator coroutine (PEP 342) that keeps its ring and its
 counters in locals, as a hardware stage keeps registers. push_pixel is a
@@ -123,12 +124,13 @@ class GradientStage:
         out = None
         try:
             while True:
-                luma = yield out
-                try:
-                    px = index(luma)
-                except TypeError:
-                    px = -1  # not an integer
-                if not 0 <= px <= _LUMA_MAX or luma is True or luma is False:
+                px = luma = yield out
+                if px.__class__ is not int:  # an exact int needs only the range check
+                    try:  # a bool is an int, but not a pixel
+                        px = -1 if luma.__class__ is bool else index(luma)
+                    except TypeError:
+                        px = -1  # not an integer
+                if not 0 <= px <= _LUMA_MAX:
                     if luma is not _FLUSH:
                         raise LayoutError(
                             f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}"

@@ -7,25 +7,26 @@ datapath. After the last pixel the gradient stage drains its latency
 tail, one step per flushed pair; the step ledger is the gradient stage's
 pixels and drained steps, so pixels_per_step is just under 1.0.
 
-Stages hand each other plain values, as hardware stages hand on
+Stages hand each other plain Python values, as hardware stages hand on
 registers (ints per pixel, nine bins per cell, 36 floats per block), and
 an item's position is its count in stream order. The gradient and cell
 stages are generator coroutines; their push_pixel and accumulate are
 gradient.Port descriptors, so the pipeline steps each through its
 coroutine's send, with no Python frame per item of its own, while a
 tracer can still wrap either on its class. The tap records are built,
-with their position, only when a Tap asks.
+with their position, only when a Tap asks (a BlockDescriptor's array too).
 
 run_frame is the instrumented streaming path: feed maps the frame's
 pixels through push_pixel, and one pair loop reads each pair's vote (low
-bin and packed weight) from the memoized vote table (the polar table
-only for the polar tap), sends it to accumulate and places each finished
-cell and its block. run_frame_fast computes the identical HogFrame with
-arrays (not thread-safe): cells.frame_votes gathers each strip's keys and
-packed weights from the same table, cells.add_votes bincounts them, and
-blocks.normalize_grid squares each cell once. Cells are integer-identical
-and block square sums exact on both paths, and both divide in
-blocks.normalize_blocks, so the outputs match element-exactly.
+bin and packed weight) from the memoized vote table at grid_index's
+linear form, inlined (the polar table only for the polar tap), sends it
+to accumulate and places each finished cell and its block. run_frame_fast
+computes the identical HogFrame with arrays (not thread-safe):
+cells.frame_votes gathers each strip's keys and packed weights from the
+same table, cells.add_votes bincounts them, and blocks.normalize_grid
+squares each cell once. Cells are integer-identical and block square
+sums exact on both paths, and both take their divisor from
+blocks.block_norm, so the outputs match element-exactly.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from .blocks import (
     BLOCK_EPSILON, BLOCK_VALUES, BlockAssembler, HogFrame, block_grid, normalize_grid
 )
 from .cells import CellAccumulator, add_votes, cells_per_frame, frame_votes
-from .cordic import CordicConfig, grid_index, polar_table
+from .cordic import GRID_SIDE, CordicConfig, grid_index, polar_table
 from .errors import DimensionError, TapNotEnabled
 from .gradient import GradientStage, luma8, warmup_steps
 from .voting import BIN_COUNT, hi_bin, split_packed, vote_table
@@ -196,9 +197,11 @@ class StreamingPipeline:
 
     def _take(self, pairs) -> None:
         accumulate, lo_bins, weights = self._cells.accumulate, self._lo_bins, self._weights
-        cap, tap_pairs = self._captures, self._tap_pairs
+        tap_pairs, center = self._tap_pairs, grid_index(0, 0)
+        tap_cells, tap_blocks = self._captures.get(Tap.CELLS), self._captures.get(Tap.BLOCKS)
         for gx, gy in pairs:
-            i = grid_index(gx, gy)
+            # grid_index is linear: gx * GRID_SIDE + gy + grid_index(0, 0)
+            i = gx * GRID_SIDE + gy + center
             lo, packed = lo_bins[i], weights[i]
             if tap_pairs:
                 self._tap_pair(gx, gy, i, lo, packed)
@@ -207,15 +210,15 @@ class StreamingPipeline:
                 r, c = divmod(self.cells_out, self._blocks.cells_cols)
                 self.cells_out += 1
                 self._cell_grid[r, c] = bins
-                if Tap.CELLS in cap:
-                    cap[Tap.CELLS].append(CellHistogram(tuple(bins), r, c))
+                if tap_cells is not None:
+                    tap_cells.append(CellHistogram(tuple(bins), r, c))
                 values = self._blocks.add(bins)
                 if values is not None:
                     r, c = divmod(self.blocks_out, self._block_grid.shape[1])
                     self.blocks_out += 1
                     self._block_grid[r, c] = values
-                    if Tap.BLOCKS in cap:
-                        cap[Tap.BLOCKS].append(BlockDescriptor(values, r, c))
+                    if tap_blocks is not None:
+                        tap_blocks.append(BlockDescriptor(np.array(values), r, c))
 
     def _tap_pair(self, gx: int, gy: int, i: int, lo: int, packed: float) -> None:
         cap = self._captures

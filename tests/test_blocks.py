@@ -8,6 +8,8 @@ from hogpipe.blocks import (
     BLOCK_VALUES,
     BlockAssembler,
     block_grid,
+    block_norm,
+    dequantize,
     normalize_grid,
 )
 from hogpipe.fixq import CELL_ACC, MAG
@@ -83,6 +85,7 @@ def test_block_square_sums_fit_a_double_exactly():
 BOUND_GRIDS = {
     "all-max": np.full((2, 2, 9), CELL_ACC.raw_max),
     "max-zero-one": np.resize([CELL_ACC.raw_max, 0, 1, CELL_ACC.raw_max], (2, 2, 9)),
+    "random": np.random.default_rng(29).integers(0, CELL_ACC.raw_max + 1, size=(2, 2, 9)),
 }
 
 
@@ -94,6 +97,18 @@ def test_paths_agree_bit_for_bit_at_the_accumulator_bound(name):
     ref = ref_normalize_block(grid.ravel().tolist())
     assert np.array_equal(streamed, batch)
     assert np.array_equal(batch, ref)
+
+
+@pytest.mark.parametrize("name", BOUND_GRIDS)
+def test_scalar_and_array_conversions_agree(name):
+    # the streamed block converts and divides Python numbers one at a time,
+    # the batch path whole arrays; both go through dequantize and block_norm,
+    # here on every partial square sum up to the grid's block (all-max: the bound)
+    raw = BOUND_GRIDS[name].ravel()
+    values = dequantize(raw)
+    assert [dequantize(int(b)) for b in raw] == values.tolist()
+    square_sums = np.cumsum(values * values)
+    assert [float(block_norm(float(s))) for s in square_sums] == block_norm(square_sums).tolist()
 
 
 def test_concatenation_order_is_row_major():
@@ -119,7 +134,7 @@ def test_block_count_for_full_frame_grid():
     blocks = stream_blocks(grid)
     assert block_grid(60, 80) == (59, 79)
     assert len(blocks) == math.prod(block_grid(60, 80)) == 79 * 59 == 4661
-    assert sum(b.size for b in blocks) == 4661 * 36 == 167796
+    assert sum(len(b) for b in blocks) == 4661 * 36 == 167796
     assert np.array_equal(np.reshape(blocks, (59, 79, 36)), normalize_grid(grid))
 
 

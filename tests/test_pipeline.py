@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import enum
 import importlib.util
 import time
 import tracemalloc
@@ -84,9 +85,12 @@ def test_luma_outside_8_bits_is_rejected(entry, bad):
     "pos, bad",
     [
         (255, -300), (0, 256), (100, 256), (100, 7.5), (100, np.float64(7.0)),
-        (100, True), (0, False),
+        (100, True), (0, False), (100, np.True_), (100, np.int64(256)),
     ],
-    ids=["-300-last", "256-first", "256-mid", "float-mid", "np-float-mid", "true-mid", "false-first"],
+    ids=[
+        "-300-last", "256-first", "256-mid", "float-mid", "np-float-mid", "true-mid",
+        "false-first", "np-true-mid", "np-int64-256-mid",
+    ],
 )
 def test_streaming_port_rejects_pixels_outside_8_bits(pos, bad):
     pixels = rand_frame((16, 16), 13).ravel().tolist()
@@ -96,6 +100,23 @@ def test_streaming_port_rejects_pixels_outside_8_bits(pos, bad):
         for px in pixels:
             pipe.step(px)
     assert pipe.pixels_in == pos
+
+
+Luma = enum.IntEnum("Luma", [(f"L{v}", v) for v in range(256)])  # an int subclass
+
+
+@pytest.mark.parametrize("as_pixel", [np.uint8, np.int64, Luma], ids=["np-uint8", "np-int64", "int-enum"])
+def test_streaming_port_takes_integer_scalars_as_plain_ints(as_pixel):
+    # only an exact int skips operator.index; these take the checked path
+    luma = rand_frame((16, 16), 13)
+    cfg = cfg_for(luma)
+    pipe = StreamingPipeline(cfg)
+    for px in luma.ravel().tolist():
+        pipe.step(as_pixel(px))
+    hog, stats = pipe.finish()
+    ref, ref_stats = run_frame(luma, cfg)
+    assert np.array_equal(hog.cells, ref.cells) and np.array_equal(hog.blocks, ref.blocks)
+    assert stats == ref_stats
 
 
 def test_layout_error_mid_feed_leaves_the_ledger_at_the_accepted_pixels():
