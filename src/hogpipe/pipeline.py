@@ -13,20 +13,21 @@ an item's position is its count in stream order. The gradient and cell
 stages are generator coroutines; their push_pixel and accumulate are
 gradient.Port descriptors, so the pipeline steps each through its
 coroutine's send, with no Python frame per item of its own, while a
-tracer can still wrap either on its class. The tap records are built,
-with their position, only when a Tap asks (a BlockDescriptor's array too).
+tracer can still wrap either on its class. The pipeline keeps what the
+stages emit: finish() shapes the frame from it, and captures() builds a
+tap's records, with their positions, from it.
 
 run_frame is the instrumented streaming path: feed maps the frame's
 pixels through push_pixel, and one pair loop reads each pair's vote (low
 bin and packed weight) from the memoized vote table at grid_index's
-linear form, inlined (the polar table only for the polar tap), sends it
-to accumulate and places each finished cell and its block. run_frame_fast
-computes the identical HogFrame with arrays (not thread-safe):
-cells.frame_votes gathers each strip's keys and packed weights from the
-same table, cells.add_votes bincounts them, and blocks.normalize_grid
-squares each cell once. Cells are integer-identical and block square
-sums exact on both paths, and both take their divisor from
-blocks.block_norm, so the outputs match element-exactly.
+linear form, inlined, sends it to accumulate and appends each finished
+cell and its block to the output streams. run_frame_fast computes the
+identical HogFrame with arrays (not thread-safe): cells.frame_votes
+gathers each strip's keys and packed weights from the same table,
+cells.add_votes bincounts them, and blocks.normalize_grid squares each
+cell once. Cells are integer-identical and block square sums exact on
+both paths, and both take their divisor from blocks.block_norm, so the
+outputs match element-exactly.
 """
 
 from dataclasses import dataclass, field
@@ -109,6 +110,8 @@ class PipelineConfig:
         if min(block_grid(rows, cols)) < 1:
             raise DimensionError(f"need at least a 2x2 cell grid, got {cols}x{rows}")
         object.__setattr__(self, "taps", frozenset(self.taps))
+        if bad := sorted(repr(t) for t in self.taps if not isinstance(t, Tap)):
+            raise TypeError(f"taps must be Tap members, not {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -130,29 +133,25 @@ class StreamingPipeline:
     Call step() once per pixel (an int in 0..255, else LayoutError; past
     the frame's last, DimensionError), or feed() them, in row-major order,
     then finish(); either way each gradient pair goes through _take, the
-    one per-pair loop. The polar and voting stages are one read of the
-    memoized vote table, a (low bin, packed weight) vote. A ring's fill
-    never drops within a frame, so the peak buffer occupancy of the
-    memory-bound check is the rings' current fill; the tables are constant
-    data and deliberately not counted.
+    one per-pair loop. It keeps each closed cell's bins, each block's values
+    and, for a per-pixel tap only, each pair, in order. The polar and voting
+    stages are one read of the memoized vote table, a (low bin, packed
+    weight) vote. A ring's fill never drops within a frame, so the peak
+    buffer occupancy of the memory-bound check is the rings' current fill;
+    the tables (constant data) and kept streams (the frame's output) are
+    deliberately not counted.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        cc, cr = cells_per_frame(cfg.width, cfg.height)
         t = vote_table(cfg.cordic)  # memoryviews read back an int and a float
         self._lo_bins, self._weights = memoryview(t.lo_bin), memoryview(t.weights[0])
         self._grad = GradientStage(cfg.width, cfg.height)
         self._cells = CellAccumulator(cfg.width, cfg.height)
-        self._blocks = BlockAssembler(cc)
-        self._cell_grid = np.zeros((cr, cc, BIN_COUNT), dtype=np.int64)
-        self._block_grid = np.zeros((*block_grid(cr, cc), BLOCK_VALUES))
-        self._captures = {t: [] for t in cfg.taps}
-        self._tap_pairs = bool(self._captures.keys() - {Tap.CELLS, Tap.BLOCKS})  # a record per pair
-        self._tapped = 0  # pairs the per-pixel taps recorded; the next one's position
+        self._blocks = BlockAssembler(cells_per_frame(cfg.width, cfg.height)[0])
         self._drained = 0  # steps after the last pixel, counted by finish()
-        self.cells_out = 0
-        self.blocks_out = 0
+        self._cells_out, self._blocks_out = [], []  # what the stages emitted
+        self._pairs = [] if cfg.taps - {Tap.CELLS, Tap.BLOCKS} else None
 
     @property
     def peak_pixel_buffer(self) -> int:
@@ -176,9 +175,29 @@ class StreamingPipeline:
         return self._grad.pushed + self._drained
 
     def captures(self, tap: Tap) -> list:
-        if tap not in self._captures:
+        """The tap's records so far, in stream order, built from the stored
+        streams at each call; an item's position is its index in its stream."""
+        if tap not in self.cfg.taps:
             raise TapNotEnabled(f"tap {tap.value} was not requested in the config")
-        return self._captures[tap]
+        cols, rows = cells_per_frame(self.cfg.width, self.cfg.height)
+        if tap is Tap.CELLS:
+            cells = enumerate(self._cells_out)
+            return [CellHistogram(tuple(bins), *divmod(n, cols)) for n, bins in cells]
+        if tap is Tap.BLOCKS:
+            _, cols = block_grid(rows, cols)
+            blocks = enumerate(self._blocks_out)
+            return [BlockDescriptor(np.array(v), *divmod(n, cols)) for n, v in blocks]
+        polar, records = polar_table(self.cfg.cordic) if tap is Tap.POLAR else None, []
+        for n, (gx, gy) in enumerate(self._pairs):
+            i, pos = grid_index(gx, gy), divmod(n, self.cfg.width)
+            if tap is Tap.GRADIENTS:
+                records.append(GradientPair(gx, gy, *pos))
+            elif tap is Tap.POLAR:
+                records.append(PolarGradient(int(polar.mag_raw[i]), int(polar.ang_raw[i]), *pos))
+            else:
+                lo, (lo_w, hi_w) = self._lo_bins[i], split_packed(self._weights[i])
+                records.append(BinVote(lo, hi_bin(lo), int(lo_w), int(hi_w), *pos))
+        return records
 
     def step(self, luma: int) -> None:
         self.feed((luma,))
@@ -192,47 +211,27 @@ class StreamingPipeline:
         emitted = self._grad.emitted
         self._take(self._grad.drain())
         self._drained += self._grad.emitted - emitted
-        stats = RunStats(self.pixels_in, self.steps, self._drained, self.cells_out, self.blocks_out)
-        return HogFrame(cells=self._cell_grid, blocks=self._block_grid), stats
+        cols, rows = cells_per_frame(self.cfg.width, self.cfg.height)
+        cells = np.array(self._cells_out, dtype=np.int64).reshape(rows, cols, BIN_COUNT)
+        blocks = np.array(self._blocks_out).reshape(*block_grid(rows, cols), BLOCK_VALUES)
+        n = len(self._cells_out), len(self._blocks_out)
+        return HogFrame(cells, blocks), RunStats(self.pixels_in, self.steps, self._drained, *n)
 
     def _take(self, pairs) -> None:
-        accumulate, lo_bins, weights = self._cells.accumulate, self._lo_bins, self._weights
-        tap_pairs, center = self._tap_pairs, grid_index(0, 0)
-        tap_cells, tap_blocks = self._captures.get(Tap.CELLS), self._captures.get(Tap.BLOCKS)
+        accumulate, add = self._cells.accumulate, self._blocks.add
+        lo_bins, weights, center = self._lo_bins, self._weights, grid_index(0, 0)
+        cells_out, blocks_out = self._cells_out, self._blocks_out
+        if self._pairs is not None:  # a per-pixel tap keeps each pair as it passes
+            pairs = (self._pairs.append(pair) or pair for pair in pairs)
         for gx, gy in pairs:
             # grid_index is linear: gx * GRID_SIDE + gy + grid_index(0, 0)
             i = gx * GRID_SIDE + gy + center
-            lo, packed = lo_bins[i], weights[i]
-            if tap_pairs:
-                self._tap_pair(gx, gy, i, lo, packed)
-            bins = accumulate((lo, packed))
+            bins = accumulate((lo_bins[i], weights[i]))
             if bins is not None:  # the vote closed a cell
-                r, c = divmod(self.cells_out, self._blocks.cells_cols)
-                self.cells_out += 1
-                self._cell_grid[r, c] = bins
-                if tap_cells is not None:
-                    tap_cells.append(CellHistogram(tuple(bins), r, c))
-                values = self._blocks.add(bins)
+                cells_out.append(bins)
+                values = add(bins)
                 if values is not None:
-                    r, c = divmod(self.blocks_out, self._block_grid.shape[1])
-                    self.blocks_out += 1
-                    self._block_grid[r, c] = values
-                    if tap_blocks is not None:
-                        tap_blocks.append(BlockDescriptor(np.array(values), r, c))
-
-    def _tap_pair(self, gx: int, gy: int, i: int, lo: int, packed: float) -> None:
-        cap = self._captures
-        r, c = divmod(self._tapped, self.cfg.width)
-        self._tapped += 1
-        if Tap.GRADIENTS in cap:
-            cap[Tap.GRADIENTS].append(GradientPair(gx, gy, r, c))
-        if Tap.POLAR in cap:
-            polar = polar_table(self.cfg.cordic)
-            mag, ang = int(polar.mag_raw[i]), int(polar.ang_raw[i])
-            cap[Tap.POLAR].append(PolarGradient(mag, ang, r, c))
-        if Tap.VOTES in cap:
-            lo_w, hi_w = split_packed(packed)
-            cap[Tap.VOTES].append(BinVote(lo, hi_bin(lo), int(lo_w), int(hi_w), r, c))
+                    blocks_out.append(values)
 
 
 def _as_luma(frame, cfg: PipelineConfig) -> np.ndarray:

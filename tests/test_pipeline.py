@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hogpipe import pipeline
 from hogpipe.blocks import BLOCK_EPSILON, BlockAssembler
 from hogpipe.cells import CellAccumulator
 from hogpipe.cordic import CordicConfig
@@ -43,6 +44,18 @@ def test_config_rejects_bad_geometry():
         PipelineConfig(width=16, height=20)
     with pytest.raises(DimensionError):
         PipelineConfig(width=8, height=8)  # single cell, no blocks
+
+
+@pytest.mark.parametrize(
+    "taps, named",
+    [({"cells"}, "'cells'"), ({Tap.CELLS, "votes"}, "'votes'"), ({None, 3}, "3, None")],
+    ids=["str", "mixed", "other"],
+)
+def test_config_rejects_taps_that_are_not_tap_members(taps, named):
+    # a name that is no Tap would match no stage and record nothing
+    with pytest.raises(TypeError) as err:
+        PipelineConfig(16, 16, taps=taps)
+    assert str(err.value) == f"taps must be Tap members, not {named}"
 
 
 def test_epsilon_is_readable_not_settable():
@@ -285,16 +298,48 @@ def test_cell_and_block_taps_build_no_per_pair_record(monkeypatch, taps):
     def refuse(*args):
         raise AssertionError("a per-pair tap record was built")
 
-    monkeypatch.setattr(StreamingPipeline, "_tap_pair", refuse)
+    for name in ("GradientPair", "PolarGradient", "BinVote"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    with pytest.raises(AssertionError, match="per-pair"):
+        every.captures(Tap.GRADIENTS)  # the refusal bites where records are built
     pipe = StreamingPipeline(cfg_for(luma, taps=taps))
     pipe.feed(luma.ravel().tolist())
     hog, stats = pipe.finish()
+    assert pipe._pairs is None  # no pair was stored for a per-pixel record
+    for tap in set(Tap) - taps:
+        with pytest.raises(TapNotEnabled):
+            pipe.captures(tap)
     assert stats == want_stats
     assert np.array_equal(hog.cells, want.cells)
     assert np.array_equal(hog.blocks, want.blocks)
     for tap in taps:
         got = [record_values(r) for r in pipe.captures(tap)]
         assert got == [record_values(r) for r in every.captures(tap)]
+
+
+def test_captures_mid_frame_are_the_prefix_of_the_finished_records():
+    luma = rand_frame((24, 32), 20)
+    cfg = cfg_for(luma, taps=frozenset(Tap))
+    pixels = luma.ravel().tolist()
+    whole = StreamingPipeline(cfg)
+    whole.feed(pixels)
+    hog, stats = whole.finish()
+    part = StreamingPipeline(cfg)
+    part.feed(pixels[:600])  # past the warm-up of 32 + 2: 566 pairs, two cell rows
+    made = {tap: len(part.captures(tap)) for tap in Tap}
+    assert made == dict.fromkeys(Tap, 566) | {Tap.CELLS: 8, Tap.BLOCKS: 3}
+    for tap in Tap:
+        got, want = part.captures(tap), whole.captures(tap)[: made[tap]]
+        assert [type(r) for r in got] == [type(r) for r in want]
+        assert [record_values(r) for r in got] == [record_values(r) for r in want]
+    for tap in Tap:
+        again = whole.captures(tap)
+        assert [record_values(r) for r in again] == [record_values(r) for r in whole.captures(tap)]
+    hog_again, stats_again = whole.finish()
+    assert stats_again == stats
+    assert hog_again.cells.tobytes() == hog.cells.tobytes()
+    assert hog_again.blocks.tobytes() == hog.blocks.tobytes()
+    assert (hog_again.cells.shape, hog_again.blocks.shape) == ((3, 4, 9), (2, 3, 36))
 
 
 def test_streaming_port_takes_numpy_integers_as_ints():

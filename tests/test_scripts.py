@@ -86,7 +86,7 @@ def test_output_digest_repeats_and_names_every_output():
     names = [line.split()[1] for line in first]
     assert names == [
         "fast_cells", "fast_blocks", "golden_cells", "golden_blocks",
-        "compare_text", "compare_text_per_stage", "stream_cells", "stream_blocks",
+        "compare_text", "compare_text_per_stage", "stream_cells", "stream_blocks", "stream_taps",
     ]
     assert all(len(line.split()[0]) == 64 for line in first)
     # a 64x64 frame is its own streaming crop, and the two paths agree
