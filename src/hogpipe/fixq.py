@@ -37,14 +37,15 @@ class QFormat:
 
 # Pipeline register formats. LUMA is the pixel, MAG leaves headroom for the
 # uncompensated CORDIC gain, ANG holds degrees in [0, 180) at 13 fractional
-# bits, CELL_ACC holds the 64 votes per bin of one CELL_SIZE x CELL_SIZE cell.
-# The default CORDIC peaks at 23080 raw magnitude and 64 * 23080 < 2**22;
-# the polar table build enforces both bounds.
+# bits, CELL_ACC holds the 64 votes per bin of one CELL_SIZE x CELL_SIZE cell:
+# MAG plus the bits of the vote count, 16.6 at the defaults. The default CORDIC
+# peaks at 23080 raw magnitude and 64 * 23080 < 2**22; the polar table build
+# enforces both bounds.
 LUMA = QFormat(int_bits=8, frac_bits=0)
 MAG = QFormat(int_bits=10, frac_bits=6)
 ANG = QFormat(int_bits=8, frac_bits=13)
 CELL_SIZE = 8
-CELL_ACC = QFormat(int_bits=16, frac_bits=6)
+CELL_ACC = QFormat(MAG.int_bits + (CELL_SIZE * CELL_SIZE - 1).bit_length(), MAG.frac_bits)
 
 
 def rne_shift(x, s):

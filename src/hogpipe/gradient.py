@@ -17,13 +17,19 @@ in LUMA's 0..255, is refused with LayoutError, as luma8 refuses a frame,
 and one past the frame's W*H with DimensionError. A pixel of class exactly
 int needs only the range check; any other goes through operator.index.
 
-The stage is a generator coroutine (PEP 342) that keeps its ring and its
-counters in locals, as a hardware stage keeps registers. push_pixel is a
-Port: on a stage it is the coroutine's send, so a pixel costs no Python
-frame but the coroutine's; on the class it is a plain (stage, pixel)
-callable that a tracer can wrap. A refused pixel, or anything else raised
-out of a step, restarts the coroutine on the kept ring and counts, then
-raises, so a port read from the stage before the error is spent.
+The stage is a generator coroutine (PEP 342) that keeps its ring and one
+step count, the sends taken, in locals, as a hardware stage keeps registers.
+In rows 0..H-3 every step takes a pixel: there, once column 0 has opened
+the row, its ring offsets are set once and columns 1..W-1 run as one loop
+with no counter, modulo or border test, the step count being the row's
+first step plus the column. The warm-up, column 0, the last two rows (where
+drain's steps arrive) and a restart mid-row take a per-step body.
+push_pixel is a Port: on a stage it is the coroutine's send, so a pixel
+costs no Python frame but the coroutine's; on the class it is a plain
+(stage, pixel) callable that a tracer can wrap. A refused pixel, or
+anything else raised out of a step, restarts the coroutine on the kept
+ring and step count, then raises, so a port read from the stage before the
+error is spent.
 
 warmup_steps is the one latency formula and frame_gradients the one array
 difference (on pad_frame's output); the vectorized and golden paths use them.
@@ -71,6 +77,17 @@ def frame_gradients(padded: np.ndarray, top: int, gx: np.ndarray, gy: np.ndarray
     np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=gy)
 
 
+def _pixel(luma) -> int:
+    """luma as a pixel: an integer in LUMA's range, not a bool; else LayoutError."""
+    try:
+        px = -1 if luma.__class__ is bool else operator.index(luma)
+    except TypeError:
+        px = -1  # not an integer
+    if not 0 <= px <= _LUMA_MAX:
+        raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}")
+    return px
+
+
 class Port:
     """A coroutine stage's input. Read on a stage, it is the stage
     coroutine's send; read on the class, it is itself, a plain
@@ -100,63 +117,73 @@ class GradientStage:
         self.height = height
         self._ring = [0] * (2 * width + 3)
         self._total = width * height
-        self._start(0, 0)
+        self._start(0)
 
-    def _start(self, pushed: int, emitted: int) -> None:
-        self._gen = self._run(pushed, emitted)
+    def _start(self, step: int) -> None:
+        self._gen = self._run(step)
         self._send = self._gen.send
         next(self._gen)
 
-    # _run's locals of these names, read from its suspended frame: pixels in
-    # so far, one step each, and pairs out so far, the next pair's position
-    pushed = property(lambda self: getgeneratorlocals(self._gen)["pushed"])
-    emitted = property(lambda self: getgeneratorlocals(self._gen)["emitted"])
+    @property
+    def _steps(self) -> int:
+        """Sends taken: _run's step (a whole row's first step) plus its column c."""
+        frame = getgeneratorlocals(self._gen)
+        return frame["step"] + frame["c"]
+
+    # pixels in so far, one step each, and pairs out so far, the next pair's position
+    pushed = property(lambda self: min(self._steps, self._total))
+    emitted = property(lambda self: max(self._steps - warmup_steps(self.width), 0))
 
     @property
     def buffered_pixels(self) -> int:
         """Live pixels held: at most two rows plus the window constant."""
         return min(self.pushed, len(self._ring))
 
-    def _run(self, pushed: int, emitted: int):  # pushed, emitted: read by name above
-        w, ring, total, index = self.width, self._ring, self._total, operator.index
+    def _run(self, step: int):  # step and c: read by name in _steps
+        w, ring, total = self.width, self._ring, self._total
         cap, latency, last_row, last_col = len(ring), warmup_steps(w), self.height - 1, w - 1
-        r, c = divmod(emitted, w)  # the next pair's row and column
-        out = None
+        c, out = 0, None
         try:
             while True:
-                px = luma = yield out
-                if px.__class__ is not int:  # an exact int needs only the range check
-                    try:  # a bool is an int, but not a pixel
-                        px = -1 if luma.__class__ is bool else index(luma)
-                    except TypeError:
-                        px = -1  # not an integer
-                if not 0 <= px <= _LUMA_MAX:
-                    if luma is not _FLUSH:
-                        raise LayoutError(
-                            f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}"
+                e = step - latency  # this step's pair, once warm
+                r, col = divmod(e, w)
+                if col == 1 and 0 <= r < last_row - 1:  # a whole row: every step takes a pixel
+                    step, e = step - 1, e - 1  # the row's first step; (r, 0) took the body below
+                    # column c's slots: here, store, left, right, down and up at offset + c,
+                    # each in -cap..cap-1 for c in 1..W-1, so a negative index wraps once
+                    k = e % cap - cap
+                    ks, kl, kr, kd = k + latency, k - 1, k + 1, k + w
+                    ku = (e - w) % cap - cap if r else k  # row 0: up is here
+                    for c in range(1, w):
+                        px = yield out
+                        if px.__class__ is not int or not 0 <= px <= _LUMA_MAX:
+                            px = _pixel(px)  # the full check; an exact int in range needs none
+                        ring[ks + c] = px
+                        out = ring[kr + c] - ring[kl + c], ring[kd + c] - ring[ku + c]
+                    out = ring[k + c] - ring[kl + c], out[1]  # column W - 1: right is here
+                    step, c = step + w, 0
+                    continue
+                px = yield out
+                if px is not _FLUSH:
+                    if px.__class__ is not int or not 0 <= px <= _LUMA_MAX:
+                        px = _pixel(px)
+                    if step >= total:
+                        raise DimensionError(
+                            f"pixel {total + 1} is past the end of a {total}-pixel frame"
                         )
-                elif pushed == total:
-                    raise DimensionError(
-                        f"pixel {pushed + 1} is past the end of a {pushed}-pixel frame"
-                    )
-                else:
-                    ring[pushed % cap] = px
-                    pushed += 1
-                    if pushed <= latency:
-                        continue  # warming up: out is still None
-                p = emitted % cap  # the pair at (r, c); negative indices wrap the ring
+                    ring[step % cap] = px
+                step += 1
+                if e < 0:
+                    continue  # warming up: out is still None
+                p = e % cap  # the pair at (r, col); negative indices wrap the ring
                 here = ring[p]
-                left = ring[p - 1] if c else here
-                right = ring[p + 1 - cap] if c < last_col else here
+                left = ring[p - 1] if col else here
+                right = ring[p + 1 - cap] if col < last_col else here
                 up = ring[p - w] if r else here
                 down = ring[p + w - cap] if r < last_row else here
                 out = right - left, down - up
-                emitted += 1
-                c += 1
-                if c == w:
-                    r, c = r + 1, 0
         except (Exception, KeyboardInterrupt):  # refused or interrupted: go on from here
-            self._start(pushed, emitted)
+            self._start(step + c)
             raise
 
     def drain(self) -> Iterator[tuple[int, int]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hogpipe.fixq import ANG, CELL_ACC, MAG, QFormat, rne_shift
+from hogpipe.fixq import ANG, CELL_ACC, CELL_SIZE, MAG, QFormat, rne_shift
 
 
 def test_named_formats_widths():
@@ -17,6 +17,15 @@ def test_named_formats_widths():
     assert CELL_ACC.frac_bits == MAG.frac_bits
     for fmt in (MAG, ANG, CELL_ACC):
         assert fmt.int_bits + fmt.frac_bits <= 32
+
+
+def test_cell_acc_is_mag_widened_by_the_vote_count_of_one_cell():
+    votes = CELL_SIZE * CELL_SIZE
+    assert CELL_ACC == QFormat(MAG.int_bits + (votes - 1).bit_length(), MAG.frac_bits)
+    assert (CELL_ACC.int_bits, CELL_ACC.frac_bits) == (16, 6)  # the spec's 16.6 at the defaults
+    # the narrowest width that holds a full cell of the largest magnitude
+    narrower = QFormat(CELL_ACC.int_bits - 1, CELL_ACC.frac_bits)
+    assert narrower.raw_max < votes * MAG.raw_max <= CELL_ACC.raw_max
 
 
 def test_format_validation():

@@ -143,6 +143,55 @@ def test_a_port_read_before_an_error_is_spent_and_the_stage_goes_on():
     assert np.array_equal(to_array(pairs, (4, 5)), ref_gradients(luma))
 
 
+def ledger(stage):
+    return stage.pushed, stage.emitted, stage.buffered_pixels
+
+
+@pytest.mark.parametrize("w, h", [(3, 3), (4, 3), (3, 5), (5, 4), (7, 6), (300, 4)])
+def test_ledger_after_every_step_matches_a_counter_model(w, h):
+    luma = np.random.default_rng(w * h).integers(0, 256, size=(h, w), dtype=np.uint8)
+    stage = GradientStage(w, h)
+    pushed = emitted = 0
+    pairs = []
+    assert ledger(stage) == (0, 0, 0)
+    for v in luma.ravel().tolist():
+        g = stage.push_pixel(v)
+        pushed += 1
+        if g is not None:
+            emitted += 1
+            pairs.append(g)
+        assert (g is None) == (pushed <= warmup_steps(w))
+        assert ledger(stage) == (pushed, emitted, min(pushed, 2 * w + 3)), pushed
+    for g in stage.drain():
+        emitted += 1
+        pairs.append(g)
+        assert ledger(stage) == (w * h, emitted, 2 * w + 3), emitted
+    assert emitted == w * h
+    assert np.array_equal(to_array(pairs, (h, w)), ref_gradients(luma))
+
+
+@pytest.mark.parametrize(
+    "w, h, accepted", [(w, h, n) for w, h in ((5, 4), (6, 5)) for n in range(w * h)]
+)
+def test_refusals_and_an_interrupt_after_any_pixel_leave_the_ledger(w, h, accepted):
+    # every count: the warm-up, column 0, the interior and last columns of a
+    # whole row, and the last two rows
+    luma = np.random.default_rng(accepted).integers(0, 256, size=(h, w), dtype=np.uint8)
+    pixels = luma.ravel().tolist()
+    stage = GradientStage(w, h)
+    pairs = [g for v in pixels[:accepted] if (g := stage.push_pixel(v)) is not None]
+    before = ledger(stage)
+    assert before == (accepted, len(pairs), min(accepted, 2 * w + 3))
+    refused = (256, LayoutError), (True, LayoutError), (Interrupting(), KeyboardInterrupt)
+    for bad, error in refused:
+        with pytest.raises(error):
+            stage.push_pixel(bad)
+        assert ledger(stage) == before
+    pairs += [g for v in pixels[accepted:] if (g := stage.push_pixel(v)) is not None]
+    pairs += stage.drain()
+    assert np.array_equal(to_array(pairs, (h, w)), ref_gradients(luma))
+
+
 def test_too_small_frame_rejected():
     with pytest.raises(DimensionError):
         GradientStage(2, 8)
