@@ -43,7 +43,7 @@ def main() -> None:
     print(f"max angle err (deg)   {float(circ.max()):.6e}")
     print(f"mean angle err (deg)  {float(circ[nz].mean()):.6e}")
     print(f"max |mag| rel err     {float(mag_rel.max()):.6e}")
-    print(f"max interface err     {float(iface.max()):.4f} ulp of U10.6")
+    print(f"max interface err     {float(iface.max()):.4f} ulp of U{MAG.int_bits}.{MAG.frac_bits}")
     worst = int(np.argmax(circ))
     print(f"worst angle input     gx={int(gx[worst])} gy={int(gy[worst])}")
 

@@ -16,15 +16,16 @@ counters; accumulate is its gradient.Port, the coroutine's send on a
 stage and a plain (stage, vote) callable on the class. A malformed vote
 is not counted: the stage goes on in a new coroutine from the same vote.
 
-Bins are unsigned accumulators at 6 fractional bits with 16 integer bits
-of headroom; 64 maximal magnitudes cannot overflow. CELL_SIZE comes from
-fixq, next to the CELL_ACC headroom it sizes. frame_votes is the one
-array vote gather, for the vectorized and golden paths; as line buffers
-do, it works in strips of cell rows, in one workspace per frame shape.
-It keys each pixel's vote by its low bin, as the table does: add_votes
-bincounts a strip's packed fixed weights once, splits the totals into
-their low and high sides and adds the high side one bin up (8 wraps to
-0) with voting.fold_sides, as the cell close does.
+Bins are CELL_ACC accumulators, MAG widened by the bits of a cell's vote
+count (16.6 at the defaults); the polar table build checks that a full
+cell of the peak magnitude fits. CELL_SIZE comes from fixq, next to the
+CELL_ACC headroom it sizes. frame_votes is the one array vote gather, for
+the vectorized and golden paths; as line buffers do, it works in strips
+of cell rows, in one workspace per frame shape. It keys each pixel's vote
+by its low bin, as the table does: add_votes bincounts a strip's packed
+fixed weights once, splits the totals into their low and high sides and
+adds the high side one bin up (8 wraps to 0) with voting.fold_sides, as
+the cell close does.
 """
 
 from functools import lru_cache

@@ -46,6 +46,9 @@ class SvmModel:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64).ravel()
         object.__setattr__(self, "weights", w)
+        # a NaN score would silently fail every threshold test; -inf passes all
+        if not (np.isfinite(w).all() and math.isfinite(self.bias)) or math.isnan(self.threshold):
+            raise FormatError("weights and bias must be finite and the threshold not NaN")
         expect = self.feature_count
         if w.size != expect:
             raise CountMismatch(
@@ -119,10 +122,8 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def load_model(path) -> SvmModel:
-    """Read the text weight format: a `hog-svm v1 <n>` header, one weight
-    per line, then `bias <b>` and `threshold <t>` trailers. Weights and
-    bias must be finite and the threshold not NaN, since a NaN score
-    would silently fail every threshold test."""
+    """Read the text weight format: a `hog-svm v1 <n>` header, one weight per
+    line, then `bias <b>` and `threshold <t>` trailers, valued as SvmModel requires."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = [ln.strip() for ln in f if ln.strip()]
@@ -151,10 +152,6 @@ def load_model(path) -> SvmModel:
         raise FormatError(f"malformed weight: {e}") from None
     bias = _trailer(body[declared], "bias")
     threshold = _trailer(body[declared + 1], "threshold")
-    if not (np.isfinite(weights).all() and math.isfinite(bias)):
-        raise FormatError("weights and bias must be finite")
-    if math.isnan(threshold):
-        raise FormatError("threshold is NaN")
     return SvmModel(weights=weights, bias=bias, threshold=threshold)
 
 

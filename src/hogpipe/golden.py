@@ -12,13 +12,13 @@ voting.VoteTable of golden_votes over the full gradient grid, memoized
 and built on the first golden call; as on the fixed path, each pixel's
 two weights are keyed by its low bin. Cell bins sum each weight's coarse
 and fine limbs with bincounts, which is exact, the high side's totals
-folded one bin up (voting.fold_sides), then add the two limb totals once, rounding as
-math.fsum would. Block square sums split each cell value's square into
-four limbs on fixed grids, sum each limb exactly per cell and then per
-2x2 block, and round the four totals as math.fsum of the block's squares
-would; blocks.normalize_blocks divides as on the fixed paths. Both sums
-are order-independent, so the vectorized reduction is bit-identical to a
-naive per-pixel loop.
+folded one bin up (voting.fold_sides), then add the two limb totals once,
+rounding as math.fsum would. Block square sums split each cell value's
+square into limbs on grids derived from the formats, sum each limb
+exactly per cell and then per 2x2 block, and round the limb totals as
+math.fsum of the block's squares would; blocks.normalize_blocks divides
+as on the fixed paths. Both sums are order-independent, so the
+vectorized reduction is bit-identical to a naive per-pixel loop.
 """
 
 from dataclasses import dataclass
@@ -32,6 +32,7 @@ from .blocks import (
 from .cells import cells_per_frame, frame_votes, strip_totals
 from .cordic import gradient_grid
 from .errors import DimensionError
+from .fixq import CELL_SIZE, LUMA
 from .gradient import luma8
 from .voting import BIN_COUNT, BIN_WIDTH, VoteTable, fold_sides
 
@@ -80,15 +81,21 @@ def golden_polar(
     return mag, ang
 
 
-# Vote weights are below 2**9 on a 2**-61 grid (golden_vote_table checks every
-# gradient pair) and a bin gets at most 64. Rounding a weight to the nearest
-# multiple of 2**-LIMB_BITS leaves a coarse limb of at most 2**9 on that grid
-# and a signed fine limb of at most 2**-(LIMB_BITS + 1) on the 2**-61 grid. A
-# bin's coarse limbs then total at most 2**(15 + LIMB_BITS) of their steps and
-# its fine limbs at most 2**(66 - LIMB_BITS) of theirs, so for LIMB_BITS in
-# 13..38 both totals stay within 2**53 steps and are exact in any order, and
+# A vote weight is below 2**_TOP, the bit length of the largest magnitude
+# (2**9 for LUMA's 0..255), and a bin gets at most 2**_VOTES, one per pixel
+# of a cell (2**6 for CELL_SIZE 8). Rounding a weight to the nearest multiple
+# of 2**-LIMB_BITS leaves a coarse limb of at most 2**_TOP; a bin's coarse
+# limbs total at most 2**(_TOP + _VOTES + LIMB_BITS) steps, within 2**53 for
+# LIMB_BITS up to _LIMB_MAX (38). The signed fine limbs, of at most
+# 2**-(LIMB_BITS + 1), total within 2**53 steps of 2**-_GRID (2**-74 at
+# LIMB_BITS 26), the finest grid they add exactly. golden_vote_table checks
+# that every weight lies on it, so both totals are exact in any order, and
 # one add rounds their sum once, as math.fsum does.
 LIMB_BITS = 26
+_TOP = int(np.hypot(LUMA.raw_max, LUMA.raw_max)).bit_length()
+_VOTES = (CELL_SIZE * CELL_SIZE - 1).bit_length()
+_GRID = 54 + LIMB_BITS - _VOTES
+_LIMB_MAX = 53 - _TOP - _VOTES
 
 
 def exact_bincount(votes, shape) -> np.ndarray:
@@ -113,28 +120,27 @@ def exact_bincount(votes, shape) -> np.ndarray:
 
 
 def check_vote_weights(weights: np.ndarray) -> None:
-    """Reject weights outside exact_bincount's precondition: each must be
-    >= 0, below 2**9 and a whole multiple of 2**-61."""
-    scaled = weights * 2.0**61
-    if not (
-        np.all(weights >= 0.0)
-        and np.all(weights < 2.0**9)
-        and np.array_equal(scaled, np.floor(scaled))
-    ):
-        raise ValueError(
-            "golden vote weights must lie in [0, 2**9) on a 2**-61 grid "
-            "for exact limb sums"
-        )
+    """Reject a LIMB_BITS above _LIMB_MAX, or weights outside exact_bincount's
+    precondition: each must be >= 0, below 2**_TOP and a multiple of 2**-_GRID."""
+    if LIMB_BITS > _LIMB_MAX:
+        raise ValueError(f"LIMB_BITS = {LIMB_BITS} is above {_LIMB_MAX}: coarse limb totals round")
+    scaled = weights * 2.0**_GRID
+    in_range = np.all(weights >= 0.0) and np.all(weights < 2.0**_TOP)
+    if not (in_range and np.array_equal(scaled, np.floor(scaled))):
+        grid = f"[0, 2**{_TOP}) on the 2**-{_GRID} grid of LIMB_BITS = {LIMB_BITS}"
+        raise ValueError(f"golden vote weights must lie in {grid} for exact limb sums")
 
 
-# A golden cell value rounds a sum of at most 64 such weights, so it is a
-# multiple of 2**-61 below 2**15 (64 * 360.6 = 23,080 in practice) and its
-# rounded square is a multiple of 2**-122 below 2**30. Cutting the square at
-# grids 2**-17, 2**-64 and 2**-111 leaves four limbs of at most 47 bits; a
-# block's 36 of them, summed per cell and then over its four cells, add at
-# most 6 bits, so each limb's total is exact, and the four totals are
-# rounded by one vectorised expansion, as math.fsum would.
-_SQUARE_CUTS = (17, 64, 111)
+# A golden cell value rounds a sum of at most 2**_VOTES weights, so it is a
+# multiple of 2**-_GRID below 2**(_TOP + _VOTES) (2**15 at the defaults;
+# 64 * 360.6 = 23,080 in practice), and its rounded square is a multiple of
+# 2**-(2 * _GRID) below 2**(2 * (_TOP + _VOTES)). Cutting the square at the
+# grids of _SQUARE_CUTS (2**-17, 2**-64 and 2**-111 at the defaults) leaves
+# limbs of at most _SQUARE_LIMB bits (47), so a block's BLOCK_VALUES (36) of
+# each, summed per cell and then over its four cells, total exactly, and one
+# vectorised expansion rounds the limb totals, as math.fsum would.
+_SQUARE_LIMB = 53 - (BLOCK_VALUES - 1).bit_length()
+_SQUARE_CUTS = tuple(range(_SQUARE_LIMB - 2 * (_TOP + _VOTES), 2 * _GRID, _SQUARE_LIMB))
 
 
 def _two_sum(a, b):

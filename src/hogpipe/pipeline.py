@@ -32,6 +32,7 @@ outputs match element-exactly.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -106,6 +107,9 @@ class PipelineConfig:
     taps: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        for name, size in (("width", self.width), ("height", self.height)):
+            if size.__class__ is bool or not isinstance(size, Integral):  # as gradient._pixel
+                raise TypeError(f"{name} must be an integer, not {size!r}")
         cols, rows = cells_per_frame(self.width, self.height)
         if min(block_grid(rows, cols)) < 1:
             raise DimensionError(f"need at least a 2x2 cell grid, got {cols}x{rows}")

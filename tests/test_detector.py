@@ -311,6 +311,17 @@ def test_load_rejects_bad_header_and_trailers(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "weight, bias, threshold",
+    [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, -math.inf, 0.0),
+     (0.0, 0.0, math.nan)],
+)
+def test_model_rejects_non_finite_values(weight, bias, threshold):
+    # detect would silently return no hits
+    with pytest.raises(FormatError):
+        SvmModel(np.full(N_FEATURES, weight), bias, threshold)
+
+
+@pytest.mark.parametrize(
     "weight,bias,threshold",
     [("nan", "0", "0"), ("inf", "0", "0"), ("0", "nan", "0"), ("0", "-inf", "0"),
      ("0", "0", "nan")],

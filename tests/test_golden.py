@@ -169,7 +169,7 @@ def test_vote_weights_fit_the_two_limb_sum():
         assert np.array_equal(scaled, np.floor(scaled))
 
 
-@pytest.mark.parametrize("bad", [3 * 2.0**-62, 2.0**9, -2.0**-61])
+@pytest.mark.parametrize("bad", [3 * 2.0**-76, 2.0**9, -2.0**-61])
 def test_vote_weight_check_rejects_weights_off_the_limb_grid(bad):
     ok = np.array([0.0, 2.0**-61, 360.5, 2.0**9 - 2.0**-44])
     check_vote_weights(ok)
@@ -215,6 +215,10 @@ BINCOUNT_WEIGHTS = {
     "below-512": lambda rng, size: 2.0**9 - rng.integers(1, 2**17, size, endpoint=True)
     * 2.0**-44,
     "table-max": lambda rng, size: np.full(size, golden_vote_table().weights.max()),
+    # near 2**-22 on the 2**-74 grid, the finest check_vote_weights accepts at
+    # LIMB_BITS 26: the float carries bits down to 2**-74, and the fine limb is
+    # at its widest
+    "2^-74-grid": lambda rng, size: rng.integers(2**51, 2**53, size) * 2.0**-74,
 }
 
 
@@ -276,6 +280,18 @@ def test_exact_square_sums_is_fsum_on_worst_case_rows(name):
     quads = np.concatenate(block_corners(cells), axis=2).reshape(-1, 4 * BIN_COUNT)
     want = [math.fsum(row) for row in np.square(quads).tolist()]
     assert got.shape == (39, 49)
+    assert np.array_equal(got.ravel(), want)
+
+
+def test_exact_square_sums_is_fsum_on_the_finest_weight_grid():
+    # cell values on the 2**-74 grid that check_vote_weights accepts at
+    # LIMB_BITS 26, small enough that their squares, down to 2**-148, meet
+    # every cut below 2**-64 and decide the rounded sum
+    rng = np.random.default_rng(1)
+    cells = np.floor(2.0 ** rng.uniform(-74.0, -40.0, (40, 50, BIN_COUNT)) * 2.0**74) * 2.0**-74
+    got = exact_square_sums(cells)
+    quads = np.concatenate(block_corners(cells), axis=2).reshape(-1, 4 * BIN_COUNT)
+    want = [math.fsum(row) for row in np.square(quads).tolist()]
     assert np.array_equal(got.ravel(), want)
 
 

@@ -58,6 +58,18 @@ def test_config_rejects_taps_that_are_not_tap_members(taps, named):
     assert str(err.value) == f"taps must be Tap members, not {named}"
 
 
+@pytest.mark.parametrize(
+    "width, height, named",
+    [(64.0, 64, "width"), (64, 64.0, "height"), (True, 16, "width"), (16, "16", "height")],
+    ids=["float-width", "float-height", "bool", "str"],
+)
+def test_config_rejects_sizes_that_are_not_integers(width, height, named):
+    # a float size would pass the cell-grid check, but run_frame cannot use it
+    with pytest.raises(TypeError, match=f"^{named} must be an integer"):
+        PipelineConfig(width, height)
+    assert PipelineConfig(np.int64(16), 16).width == 16  # a numpy integer is one
+
+
 def test_epsilon_is_readable_not_settable():
     assert PipelineConfig.epsilon == BLOCK_EPSILON
     with pytest.raises(TypeError):
