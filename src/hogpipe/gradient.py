@@ -1,35 +1,36 @@
 """Streaming central-difference gradient stage.
 
 Models the first hardware stage: pixels arrive one per step in row-major
-order and pass through two row buffers plus a 3x3 window, realized here as
-a single ring holding the last 2*width + 3 pixels. After a warm-up of one
-full row plus two pixels the stage emits exactly one (gx, gy) pair of plain
-ints per step, as a hardware stage hands on its two registers; the pair
-belongs to the pixel one row and two columns behind the stream head, so
-every neighbor it needs is already buffered. Pairs come out in row-major
-order, so a pair's position is its emission count.
+order and pass through two row buffers plus a 3x3 window, 2*width + 3 live
+pixels. After a warm-up of one full row plus two pixels the stage emits
+exactly one (gx, gy) pair of plain ints per step, as a hardware stage hands
+on its two registers; the pair belongs to the pixel one row and two columns
+behind the stream head. Pairs come out in row-major order, so a pair's
+position is its emission count.
 
 gx = I(r, c+1) - I(r, c-1) and gy = I(r+1, c) - I(r-1, c), coordinates
 clamped to the frame (replicate-edge border). After the last pixel,
 drain() flushes the tail, one pair per step: a W x H frame yields W*H
 pairs over W*H + latency steps. A bool, or a pixel that is not an integer
 in LUMA's 0..255, is refused with LayoutError, as luma8 refuses a frame,
-and one past the frame's W*H with DimensionError. A pixel of class exactly
-int needs only the range check; any other goes through operator.index.
+and one past the frame's W*H with DimensionError.
 
-The stage is a generator coroutine (PEP 342) that keeps its ring and one
-step count, the sends taken, in locals, as a hardware stage keeps registers.
-In rows 0..H-3 every step takes a pixel: there, once column 0 has opened
-the row, its ring offsets are set once and columns 1..W-1 run as one loop
-with no counter, modulo or border test, the step count being the row's
-first step plus the column. The warm-up, column 0, the last two rows (where
-drain's steps arrive) and a restart mid-row take a per-step body.
-push_pixel is a Port: on a stage it is the coroutine's send, so a pixel
-costs no Python frame but the coroutine's; on the class it is a plain
-(stage, pixel) callable that a tracer can wrap. A refused pixel, or
-anything else raised out of a step, restarts the coroutine on the kept
-ring and step count, then raises, so a port read from the stage before the
-error is spent.
+The stage is a generator coroutine (PEP 342): one loop over pair rows, in
+which send n hands out pair divmod(n - warmup_steps(W), W), so the warm-up
+is rows -2 and -1, whose pairs are None. It keeps three row lists: the row
+above the pair, the pair's own row, and a head that fills with the row
+below, then two pixels of the row after. A row is whole before its first
+pair, so its gx are one difference of the edge-replicated row; a step
+checks its pixel inline, stores it in the head and takes gy from the rows
+above and below (the row itself at the top and bottom edges). Anything but
+an exact int in range within the frame goes to _pixel, which refuses it or
+passes drain's flush as a 0 that no pair reads. The one count is the step,
+the sends taken: the row's first step plus its column, read from the
+suspended frame. push_pixel is a Port: on a stage it is the coroutine's
+send, so a pixel costs no Python frame but the coroutine's; on the class it
+is a plain (stage, pixel) callable that a tracer can wrap. A refused pixel,
+or anything else raised out of a step, restarts the coroutine on the kept
+rows and step count, then raises, so a port read before the error is spent.
 
 warmup_steps is the one latency formula and frame_gradients the one array
 difference (on pad_frame's output); the vectorized and golden paths use them.
@@ -77,17 +78,6 @@ def frame_gradients(padded: np.ndarray, top: int, gx: np.ndarray, gy: np.ndarray
     np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=gy)
 
 
-def _pixel(luma) -> int:
-    """luma as a pixel: an integer in LUMA's range, not a bool; else LayoutError."""
-    try:
-        px = -1 if luma.__class__ is bool else operator.index(luma)
-    except TypeError:
-        px = -1  # not an integer
-    if not 0 <= px <= _LUMA_MAX:
-        raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {luma!r}")
-    return px
-
-
 class Port:
     """A coroutine stage's input. Read on a stage, it is the stage
     coroutine's send; read on the class, it is itself, a plain
@@ -115,8 +105,9 @@ class GradientStage:
             raise DimensionError("gradient window needs a frame of at least 3x3")
         self.width = width
         self.height = height
-        self._ring = [0] * (2 * width + 3)
         self._total = width * height
+        # the row above the next pair, its own row, and the head: the row below + 2
+        self._rows = [0] * width, [0] * width, [0] * (width + 2)
         self._start(0)
 
     def _start(self, step: int) -> None:
@@ -125,63 +116,53 @@ class GradientStage:
         next(self._gen)
 
     @property
-    def _steps(self) -> int:
-        """Sends taken: _run's step (a whole row's first step) plus its column c."""
+    def steps(self) -> int:
+        """Sends taken, pixels and flushes: _run's step (its row's first) plus its column c."""
         frame = getgeneratorlocals(self._gen)
         return frame["step"] + frame["c"]
 
     # pixels in so far, one step each, and pairs out so far, the next pair's position
-    pushed = property(lambda self: min(self._steps, self._total))
-    emitted = property(lambda self: max(self._steps - warmup_steps(self.width), 0))
+    pushed = property(lambda self: min(self.steps, self._total))
+    emitted = property(lambda self: max(self.steps - warmup_steps(self.width), 0))
 
     @property
     def buffered_pixels(self) -> int:
-        """Live pixels held: at most two rows plus the window constant."""
-        return min(self.pushed, len(self._ring))
+        """Live pixels of the hardware window: at most two rows plus the window constant."""
+        return min(self.pushed, 2 * self.width + 3)
 
-    def _run(self, step: int):  # step and c: read by name in _steps
-        w, ring, total = self.width, self._ring, self._total
-        cap, latency, last_row, last_col = len(ring), warmup_steps(w), self.height - 1, w - 1
-        c, out = 0, None
+    def _pixel(self, px, step: int) -> int:
+        """The inline check's slow path: drain's flush as a 0, else px if an integer in
+        LUMA's range, not a bool (else LayoutError), within the frame (else DimensionError)."""
+        if px is _FLUSH:
+            return 0
+        try:
+            luma = -1 if px.__class__ is bool else operator.index(px)
+        except TypeError:
+            luma = -1  # not an integer
+        if not 0 <= luma <= _LUMA_MAX:
+            raise LayoutError(f"luma must hold 8-bit values 0..{_LUMA_MAX}, got {px!r}")
+        if step >= (total := self._total):
+            raise DimensionError(f"pixel {total + 1} is past the end of a {total}-pixel frame")
+        return luma
+
+    def _run(self, step: int):  # step and c: read by name in steps
+        w, total, last_row = self.width, self._total, self.height - 1
+        up, row, head = self._rows
+        r, c = divmod(step - warmup_steps(w), w)  # the next pair; rows -2 and -1 warm up
+        step, out = step - c, None  # step: the first step of pair row r
         try:
             while True:
-                e = step - latency  # this step's pair, once warm
-                r, col = divmod(e, w)
-                if col == 1 and 0 <= r < last_row - 1:  # a whole row: every step takes a pixel
-                    step, e = step - 1, e - 1  # the row's first step; (r, 0) took the body below
-                    # column c's slots: here, store, left, right, down and up at offset + c,
-                    # each in -cap..cap-1 for c in 1..W-1, so a negative index wraps once
-                    k = e % cap - cap
-                    ks, kl, kr, kd = k + latency, k - 1, k + 1, k + w
-                    ku = (e - w) % cap - cap if r else k  # row 0: up is here
-                    for c in range(1, w):
-                        px = yield out
-                        if px.__class__ is not int or not 0 <= px <= _LUMA_MAX:
-                            px = _pixel(px)  # the full check; an exact int in range needs none
-                        ring[ks + c] = px
-                        out = ring[kr + c] - ring[kl + c], ring[kd + c] - ring[ku + c]
-                    out = ring[k + c] - ring[kl + c], out[1]  # column W - 1: right is here
-                    step, c = step + w, 0
-                    continue
-                px = yield out
-                if px is not _FLUSH:
-                    if px.__class__ is not int or not 0 <= px <= _LUMA_MAX:
-                        px = _pixel(px)
-                    if step >= total:
-                        raise DimensionError(
-                            f"pixel {total + 1} is past the end of a {total}-pixel frame"
-                        )
-                    ring[step % cap] = px
-                step += 1
-                if e < 0:
-                    continue  # warming up: out is still None
-                p = e % cap  # the pair at (r, col); negative indices wrap the ring
-                here = ring[p]
-                left = ring[p - 1] if col else here
-                right = ring[p + 1 - cap] if col < last_col else here
-                up = ring[p - w] if r else here
-                down = ring[p + w - cap] if r < last_row else here
-                out = right - left, down - up
+                p = [row[0], *row, row[-1]]  # the whole row is in: its gx at once
+                gx = list(map(operator.sub, p[2:], p))
+                above, below, warm = up if r else row, head if r < last_row else row, r >= 0
+                for c in range(c, w):
+                    px = yield out
+                    if px.__class__ is not int or not 0 <= px <= _LUMA_MAX or step + c >= total:
+                        px = self._pixel(px, step + c)
+                    head[c + 2] = px
+                    out = (gx[c], below[c] - above[c]) if warm else None
+                self._rows = up, row, head = row, head[:w], head[w:] + up
+                r, c, step = r + 1, 0, step + w
         except (Exception, KeyboardInterrupt):  # refused or interrupted: go on from here
             self._start(step + c)
             raise

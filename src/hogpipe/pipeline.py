@@ -5,7 +5,7 @@ accumulation and block assembly into one streaming extractor. A step
 ingests one pixel and every stage advances on it, as in a single-clock
 datapath. After the last pixel the gradient stage drains its latency
 tail, one step per flushed pair; the step ledger is the gradient stage's
-pixels and drained steps, so pixels_per_step is just under 1.0.
+step count, its pixels and flushes, so pixels_per_step is just under 1.0.
 
 Stages hand each other plain Python values, as hardware stages hand on
 registers (ints per pixel, nine bins per cell, 36 floats per block), and
@@ -108,7 +108,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name, size in (("width", self.width), ("height", self.height)):
-            if size.__class__ is bool or not isinstance(size, Integral):  # as gradient._pixel
+            if size.__class__ is bool or not isinstance(size, Integral):  # as GradientStage._pixel
                 raise TypeError(f"{name} must be an integer, not {size!r}")
         cols, rows = cells_per_frame(self.width, self.height)
         if min(block_grid(rows, cols)) < 1:
@@ -140,10 +140,11 @@ class StreamingPipeline:
     one per-pair loop. It keeps each closed cell's bins, each block's values
     and, for a per-pixel tap only, each pair, in order. The polar and voting
     stages are one read of the memoized vote table, a (low bin, packed
-    weight) vote. A ring's fill never drops within a frame, so the peak
-    buffer occupancy of the memory-bound check is the rings' current fill;
-    the tables (constant data) and kept streams (the frame's output) are
-    deliberately not counted.
+    weight) vote. Each buffer count models the hardware's and never drops
+    within a frame, so the peak occupancy of the memory-bound check is the
+    current count: for the gradient stage its 3x3 window's 2W + 3 pixels,
+    not the row lists that hold them. The tables (constant data) and kept
+    streams (the frame's output) are deliberately not counted.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -153,7 +154,6 @@ class StreamingPipeline:
         self._grad = GradientStage(cfg.width, cfg.height)
         self._cells = CellAccumulator(cfg.width, cfg.height)
         self._blocks = BlockAssembler(cells_per_frame(cfg.width, cfg.height)[0])
-        self._drained = 0  # steps after the last pixel, counted by finish()
         self._cells_out, self._blocks_out = [], []  # what the stages emitted
         self._pairs = [] if cfg.taps - {Tap.CELLS, Tap.BLOCKS} else None
 
@@ -176,7 +176,7 @@ class StreamingPipeline:
 
     @property
     def steps(self) -> int:
-        return self._grad.pushed + self._drained
+        return self._grad.steps
 
     def captures(self, tap: Tap) -> list:
         """The tap's records so far, in stream order, built from the stored
@@ -212,14 +212,13 @@ class StreamingPipeline:
 
     def finish(self) -> tuple[HogFrame, RunStats]:
         # a drained stage yields nothing more, so a second finish() is a no-op
-        emitted = self._grad.emitted
         self._take(self._grad.drain())
-        self._drained += self._grad.emitted - emitted
         cols, rows = cells_per_frame(self.cfg.width, self.cfg.height)
         cells = np.array(self._cells_out, dtype=np.int64).reshape(rows, cols, BIN_COUNT)
         blocks = np.array(self._blocks_out).reshape(*block_grid(rows, cols), BLOCK_VALUES)
         n = len(self._cells_out), len(self._blocks_out)
-        return HogFrame(cells, blocks), RunStats(self.pixels_in, self.steps, self._drained, *n)
+        steps, pixels = self.steps, self.pixels_in
+        return HogFrame(cells, blocks), RunStats(pixels, steps, steps - pixels, *n)
 
     def _take(self, pairs) -> None:
         accumulate, add = self._cells.accumulate, self._blocks.add

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,15 +106,24 @@ def test_drain_before_full_frame_rejected():
         list(stage.drain())
 
 
-def test_pixel_past_the_frame_is_refused_before_the_ring():
-    luma = np.random.default_rng(3).integers(0, 256, size=(4, 5), dtype=np.uint8)
-    stage = GradientStage(5, 4)
+@pytest.mark.parametrize("drained", range(warmup_steps(5) + 1))
+def test_pixel_past_the_frame_is_refused_at_every_drain_step(drained):
+    # drain's flushes take the pixel check's slow path, as a pixel past the frame does
+    w, h = 5, 4
+    luma = np.random.default_rng(3).integers(0, 256, size=(h, w), dtype=np.uint8)
+    stage = GradientStage(w, h)
     pairs = [g for v in luma.ravel().tolist() if (g := stage.push_pixel(v)) is not None]
-    with pytest.raises(DimensionError):
-        stage.push_pixel(7)
-    assert stage.pushed == 20
-    pairs += stage.drain()
-    assert np.array_equal(to_array(pairs, (4, 5)), ref_gradients(luma))
+    drain = stage.drain()
+    pairs += islice(drain, drained)
+    before = ledger(stage)
+    assert before == (w * h, w * h - warmup_steps(w) + drained, 2 * w + 3)
+    assert stage.steps == w * h + drained
+    for bad, error in (7, DimensionError), (256, LayoutError), (True, LayoutError):
+        with pytest.raises(error):
+            stage.push_pixel(bad)
+        assert ledger(stage) == before
+    pairs += drain
+    assert np.array_equal(to_array(pairs, (h, w)), ref_gradients(luma))
 
 
 class Interrupting:
@@ -147,6 +158,11 @@ def ledger(stage):
     return stage.pushed, stage.emitted, stage.buffered_pixels
 
 
+def held(stage):
+    """Ints in the stage's row lists, which buffered_pixels, a formula, does not count."""
+    return sum(map(len, stage._rows))
+
+
 @pytest.mark.parametrize("w, h", [(3, 3), (4, 3), (3, 5), (5, 4), (7, 6), (300, 4)])
 def test_ledger_after_every_step_matches_a_counter_model(w, h):
     luma = np.random.default_rng(w * h).integers(0, 256, size=(h, w), dtype=np.uint8)
@@ -162,20 +178,22 @@ def test_ledger_after_every_step_matches_a_counter_model(w, h):
             pairs.append(g)
         assert (g is None) == (pushed <= warmup_steps(w))
         assert ledger(stage) == (pushed, emitted, min(pushed, 2 * w + 3)), pushed
+        assert held(stage) <= 3 * w + 2, pushed
     for g in stage.drain():
         emitted += 1
         pairs.append(g)
         assert ledger(stage) == (w * h, emitted, 2 * w + 3), emitted
+        assert held(stage) <= 3 * w + 2, emitted
     assert emitted == w * h
     assert np.array_equal(to_array(pairs, (h, w)), ref_gradients(luma))
 
 
 @pytest.mark.parametrize(
-    "w, h, accepted", [(w, h, n) for w, h in ((5, 4), (6, 5)) for n in range(w * h)]
+    "w, h, accepted", [(w, h, n) for w, h in ((5, 4), (6, 5)) for n in range(w * h + 1)]
 )
 def test_refusals_and_an_interrupt_after_any_pixel_leave_the_ledger(w, h, accepted):
-    # every count: the warm-up, column 0, the interior and last columns of a
-    # whole row, and the last two rows
+    # every count: the warm-up, the first, interior and last columns of each
+    # row, and the whole frame
     luma = np.random.default_rng(accepted).integers(0, 256, size=(h, w), dtype=np.uint8)
     pixels = luma.ravel().tolist()
     stage = GradientStage(w, h)
